@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .edgelist import read_edge_list, write_edge_list
 from .errors import BudgetExceededError
@@ -25,6 +24,7 @@ from .harness import (
     emit,
     format_summary,
     parse_config,
+    parse_fraction,
     rows_from_reports,
     run_bounds,
     run_experiment,
@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="sample a seeded random graph")
     p_gen.add_argument("--model", required=True, choices=MODELS)
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--p", type=Fraction, default=None,
+    p_gen.add_argument("--p", default=None,
                        help="edge probability, exact rational like 1/2")
     p_gen.add_argument("--m", type=int, default=None, help="edge count")
     p_gen.add_argument("--k", type=int, default=None, help="degree")
@@ -107,8 +107,9 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    p = None if args.p is None else parse_fraction(args.p)
     spec = RandomModelSpec(model=args.model, n=args.n, seed=args.seed,
-                           p=args.p, m=args.m, k=args.k)
+                           p=p, m=args.m, k=args.k)
     drawn = sample(spec)
     g = drawn.to_graph() if isinstance(drawn, BipartiteGraph) else drawn
     write_edge_list(g, args.out)

@@ -202,6 +202,14 @@ class ExperimentConfig:
                 yield n, str(value), kwargs
 
 
+def parse_fraction(text: str) -> Fraction:
+    """Exact rational from text such as '1/2'; ValueError when malformed."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+
+
 _CONFIG_KEYS = ("model", "n", "p", "m", "k", "seeds", "master_seed",
                 "bounds", "format", "out", "t_max", "record_runtime")
 
@@ -239,7 +247,7 @@ def parse_config(text: str) -> ExperimentConfig:
         seeds=int(raw["seeds"]),
         master_seed=int(raw["master_seed"]),
         bounds=bounds,
-        p_values=tuple(Fraction(tok.strip()) for tok in raw["p"].split(","))
+        p_values=tuple(parse_fraction(tok) for tok in raw["p"].split(","))
         if "p" in raw else (),
         m_values=int_list(raw["m"]) if "m" in raw else (),
         k_values=int_list(raw["k"]) if "k" in raw else (),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -239,36 +239,65 @@ def _nonedge_list(g: Graph) -> list[tuple[int, int]]:
     return out
 
 
-def _coverage_catalog(g: Graph, nonedges) -> list[tuple[int, tuple[int, ...]]]:
-    """For each distinct behavior, one ordering and the mask of non-edges
-    its canonical supergraph omits.  Masks contained in another are
-    dropped; any cover by a dropped mask is also a cover by its
-    superset."""
+@lru_cache(maxsize=1)
+def _coverage_catalog(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """For each distinct behavior, the lexicographically first ordering
+    and the mask of non-edges its canonical supergraph omits.  Masks
+    contained in another are dropped; any cover by a dropped mask is
+    also a cover by its superset.
+
+    Built by a DP over placed sets rather than a scan of all n!
+    orderings.  Placing x after the set P omits the non-edge {x, y}
+    exactly when no vertex of N[y] lies in P, so the omitted mask grows
+    by a term that depends only on (P, x).  Each state (P, mask) keeps
+    its lexicographically first prefix, packed in base n with the first
+    vertex most significant so that integer order is lex order; any
+    later prefix reaching the same state has the same completions, so
+    every final mask keeps the first ordering that reaches it.  Cached
+    for the last graph only, so that boxicity_exact builds it once
+    across its calls to boxicity_le.
+    """
     n = g.n
     closed = [g.rows[v] | (1 << v) for v in range(n)]
-    seen: dict[int, tuple[int, ...]] = {}
-    for seq in permutations(range(n)):
-        ranks = [0] * n
-        for pos, v in enumerate(seq):
-            ranks[v] = pos
-        reach = [min(ranks[w] for w in bits(closed[v])) for v in range(n)]
-        killed = 0
-        for i, (u, v) in enumerate(nonedges):
-            if ranks[u] < ranks[v]:
-                lo, hi = u, v
-            else:
-                lo, hi = v, u
-            if reach[hi] > ranks[lo]:
-                killed |= 1 << i
-        if killed not in seen:
-            seen[killed] = seq
+    pair_bit = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(_nonedge_list(g)):
+        pair_bit[u][v] = pair_bit[v][u] = 1 << i
+    # placed set -> {omitted mask: first prefix reaching it, packed}
+    layer: dict[int, dict[int, int]] = {0: {0: 0}}
+    for _ in range(n):
+        nxt: dict[int, dict[int, int]] = {}
+        # Popping frees each set's states as soon as they are extended.
+        while layer:
+            placed, states = layer.popitem()
+            untouched = [y for y in range(n) if not closed[y] & placed]
+            for x in range(n):
+                if placed >> x & 1:
+                    continue
+                term = 0
+                for y in untouched:
+                    term |= pair_bit[x][y]
+                bucket = nxt.setdefault(placed | 1 << x, {})
+                for mask, code in states.items():
+                    mask |= term
+                    code = code * n + x
+                    kept = bucket.get(mask)
+                    if kept is None or code < kept:
+                        bucket[mask] = code
+        layer = nxt
+    seen = {}
+    for mask, code in layer[full_mask(n)].items():
+        seq = []
+        for _ in range(n):
+            code, v = divmod(code, n)
+            seq.append(v)
+        seen[mask] = tuple(reversed(seq))
     items = sorted(seen.items(), key=lambda kv: (-popcount(kv[0]), kv[0]))
     maximal: list[tuple[int, tuple[int, ...]]] = []
     for mask, seq in items:
         if any(mask | kept == kept for kept, _ in maximal):
             continue
         maximal.append((mask, seq))
-    return maximal
+    return tuple(maximal)
 
 
 def boxicity_le(g: Graph, k: int) -> BoxCertificate | None:
@@ -286,9 +315,8 @@ def boxicity_le(g: Graph, k: int) -> BoxCertificate | None:
         return BoxCertificate(0, (), ())
     if k == 0:
         return None
-    nonedges = _nonedge_list(g)
-    catalog = _coverage_catalog(g, nonedges)
-    target = full_mask(len(nonedges))
+    catalog = _coverage_catalog(g)
+    target = full_mask(g.n * (g.n - 1) // 2 - g.edge_count)
     best_pop = max(popcount(m) for m, _ in catalog)
     nodes = 0
     memo: set[tuple[int, int]] = set()

@@ -385,3 +385,22 @@ def test_cli_experiment(tmp_path, capsys):
 def test_cli_experiment_needs_out(tmp_path, capsys):
     config_file = _write(tmp_path / "sweep.cfg", GOOD_CONFIG)
     assert main(["experiment", "--config", config_file]) == 2
+
+
+@pytest.mark.parametrize("p", ["1/0", "abc"])
+def test_cli_gen_bad_probability(tmp_path, capsys, p):
+    out = tmp_path / "x.edges"
+    code = main(["gen", "--model", "gnp", "--n", "8", "--p", p, "--seed", "1",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_cli_experiment_zero_denominator(tmp_path, capsys):
+    config_file = _write(tmp_path / "sweep.cfg",
+                         GOOD_CONFIG.replace("p=1/4,1/2", "p=1/4,1/0"))
+    out = tmp_path / "rows.csv"
+    assert main(["experiment", "--config", config_file, "--out", str(out)]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+    assert not out.exists()
