@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, floor
+from math import floor
 
 from .bitset import bits, full_mask, mask_of, members, popcount
-from .errors import BudgetExceededError
+from .errors import check_subset_budget
 from .graphs import (
     BipartiteGraph,
     Graph,
@@ -43,13 +43,6 @@ UNIVERSAL = "universal"
 BIPARTITE_UNIVERSAL = "bipartite_universal"
 T_EXPANDER = "t_expander"
 
-SUBSET_BUDGET = 10**7
-
-
-def _check_budget(n: int, k: int) -> None:
-    if comb(n, k) > SUBSET_BUDGET:
-        raise BudgetExceededError(f"C({n},{k}) subsets exceed {SUBSET_BUDGET}")
-
 
 def cross_expansion(g: Graph, subset_side: int, target_side: int, t: int) -> Fraction:
     """beta_t: worst closed-neighborhood coverage of the target side by
@@ -59,7 +52,7 @@ def cross_expansion(g: Graph, subset_side: int, target_side: int, t: int) -> Fra
         raise ValueError(f"t = {t} outside 1..{size}")
     if target_side == 0:
         raise ValueError("target side must be nonempty")
-    _check_budget(size, t)
+    check_subset_budget(size, t)
     pool = members(subset_side)
     best = None
     for combo in combinations(pool, t):
@@ -78,16 +71,18 @@ def co_expansion_table(g: Graph, subset_side: int, target_side: int,
         raise ValueError(f"j_max = {j_max} outside 1..{size}")
     co = complement(g)
     pool = members(subset_side)
-    table = []
-    for j in range(1, j_max + 1):
-        _check_budget(size, j)
-        best = None
-        for combo in combinations(pool, j):
-            reach = popcount(open_neighborhood(co, mask_of(combo)) & target_side)
-            if best is None or reach < best:
-                best = reach
-        table.append(best)
-    return tuple(table)
+    return tuple(_min_reach(co, pool, target_side, j) for j in range(1, j_max + 1))
+
+
+def _min_reach(co: Graph, pool: tuple[int, ...], target_side: int, j: int) -> int:
+    """m_j: fewest target vertices any j pool vertices reach in co."""
+    check_subset_budget(len(pool), j)
+    best = None
+    for combo in combinations(pool, j):
+        reach = popcount(open_neighborhood(co, mask_of(combo)) & target_side)
+        if best is None or reach < best:
+            best = reach
+    return best
 
 
 @dataclass(frozen=True)
@@ -128,7 +123,7 @@ def is_t_expander(g: Graph, t: int) -> bool:
         raise ValueError("t must be positive")
     if 2 * t > g.n:
         return True
-    _check_budget(g.n, t)
+    check_subset_budget(g.n, t)
     co = complement(g)
     for combo in combinations(range(g.n), t):
         if popcount(strong_vertex_boundary(co, mask_of(combo))) >= t:
@@ -141,7 +136,7 @@ def is_bipartite_t_expander(gb: BipartiteGraph, t: int) -> bool:
     of side B with no edge into them."""
     if not 1 <= t <= gb.na:
         raise ValueError(f"t = {t} outside 1..{gb.na}")
-    _check_budget(gb.na, t)
+    check_subset_budget(gb.na, t)
     full_b = full_mask(gb.nb)
     for combo in combinations(range(gb.na), t):
         reached = 0
@@ -200,13 +195,7 @@ def certify_expansion_bound(g: Graph, s1: int, s2: int,
 
     def m_at(j: int) -> int:
         if j not in m_cache:
-            _check_budget(n2, j)
-            best = None
-            for combo in combinations(pool, j):
-                reach = popcount(open_neighborhood(co, mask_of(combo)) & s1)
-                if best is None or reach < best:
-                    best = reach
-            m_cache[j] = best
+            m_cache[j] = _min_reach(co, pool, s1, j)
         return m_cache[j]
 
     cap = max(n1, n2) // 2 + 2

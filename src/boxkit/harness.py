@@ -18,63 +18,68 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BudgetExceededError
-from .expansion_bounds import best_expansion_bound, universal_bound
+from .expansion_bounds import (
+    EXPANSION,
+    UNIVERSAL,
+    best_expansion_bound,
+    universal_bound,
+)
 from .families import MODELS, RandomModelSpec, sample
 from .graphs import BipartiteGraph, Graph
 from .reports import BoundReport, not_applicable
 from .rng import derive_seed
-from .spectral import spectral_bound
+from .spectral import SPECTRAL, spectral_bound
 from .supergraph_bounds import (
+    DEGREE_RATIO,
+    FAMILY,
+    MIN_SUPERGRAPH,
+    STRONG_BOUNDARY,
     degree_ratio_bound,
     detect_family_bound,
     min_supergraph_bound,
     strong_boundary_bound,
 )
 
-ALL_BOUNDS = (
-    "min_supergraph",
-    "strong_boundary",
-    "family",
-    "degree_ratio",
-    "universal",
-    "spectral",
-    "expansion",
-)
+# The one place a bound is added.  Keys are the bound modules' own name
+# constants in CSV row order.  The lambdas look the functions up in this
+# module's globals at call time, so a wrapper installed over a global
+# (as a tracer does) is called too.
+BOUNDS = {
+    MIN_SUPERGRAPH: lambda g, t_max: min_supergraph_bound(g),
+    STRONG_BOUNDARY: lambda g, t_max: strong_boundary_bound(g),
+    FAMILY: lambda g, t_max: detect_family_bound(g),
+    DEGREE_RATIO: lambda g, t_max: degree_ratio_bound(g),
+    UNIVERSAL: lambda g, t_max: universal_bound(g),
+    SPECTRAL: lambda g, t_max: spectral_bound(g),
+    EXPANSION: lambda g, t_max: best_expansion_bound(g, t_max=t_max),
+}
+ALL_BOUNDS = tuple(BOUNDS)
 CSV_HEADER = "seed,model,n,m,param,bound_name,value,ceiling,runtime_ms"
 
 
-def run_bounds(g: Graph, selection, t_max: int = 2,
-               record_runtime: bool = False) -> list[BoundReport]:
+def _select_bounds(selection) -> tuple[str, ...]:
+    """Expand ["all"]; reject unknown and duplicate names."""
+    tokens = tuple(selection)
+    if tokens == ("all",):
+        return ALL_BOUNDS
+    for tok in tokens:
+        if tok not in BOUNDS:
+            raise ValueError(f"unknown bound {tok!r}")
+    if len(set(tokens)) != len(tokens):
+        raise ValueError("duplicate bound selection")
+    return tokens
+
+
+def run_bounds(g: Graph, selection, t_max: int = 2) -> list[BoundReport]:
     """Evaluate the selected bounds, one report each, never skipping.
 
     A bound that runs out of budget is reported inapplicable with
     reason "budget_exceeded" rather than raising.
     """
-    tokens = list(selection)
-    if tokens == ["all"]:
-        tokens = list(ALL_BOUNDS)
-    for tok in tokens:
-        if tok not in ALL_BOUNDS:
-            raise ValueError(f"unknown bound {tok!r}")
-    if len(set(tokens)) != len(tokens):
-        raise ValueError("duplicate bound selection")
     reports = []
-    for tok in tokens:
+    for tok in _select_bounds(selection):
         try:
-            if tok == "min_supergraph":
-                rep = min_supergraph_bound(g)
-            elif tok == "strong_boundary":
-                rep = strong_boundary_bound(g)
-            elif tok == "family":
-                rep = detect_family_bound(g)
-            elif tok == "degree_ratio":
-                rep = degree_ratio_bound(g)
-            elif tok == "universal":
-                rep = universal_bound(g)
-            elif tok == "spectral":
-                rep = spectral_bound(g)
-            else:
-                rep = best_expansion_bound(g, t_max=t_max)
+            rep = BOUNDS[tok](g, t_max)
         except BudgetExceededError:
             rep = not_applicable(tok, "budget_exceeded")
         reports.append(rep)
@@ -166,9 +171,7 @@ class ExperimentConfig:
             raise ValueError("seeds must be at least 1")
         if not self.bounds:
             raise ValueError("need at least one bound")
-        for tok in self.bounds:
-            if tok not in ALL_BOUNDS:
-                raise ValueError(f"unknown bound {tok!r}")
+        object.__setattr__(self, "bounds", _select_bounds(self.bounds))
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
         want_p = self.model.endswith("gnp")
@@ -238,15 +241,12 @@ def parse_config(text: str) -> ExperimentConfig:
     def int_list(text: str) -> tuple[int, ...]:
         return tuple(int(tok.strip()) for tok in text.split(","))
 
-    bounds = tuple(tok.strip() for tok in raw["bounds"].split(","))
-    if bounds == ("all",):
-        bounds = ALL_BOUNDS
     return ExperimentConfig(
         model=raw["model"],
         n_values=int_list(raw["n"]),
         seeds=int(raw["seeds"]),
         master_seed=int(raw["master_seed"]),
-        bounds=bounds,
+        bounds=tuple(tok.strip() for tok in raw["bounds"].split(",")),
         p_values=tuple(parse_fraction(tok) for tok in raw["p"].split(","))
         if "p" in raw else (),
         m_values=int_list(raw["m"]) if "m" in raw else (),

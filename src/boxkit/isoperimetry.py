@@ -18,17 +18,16 @@ decreasing lowest set bit turns the walk into n strided numpy passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
 from .bitset import mask_of, popcount
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, check_subset_budget
 from .graphs import Graph, strong_vertex_boundary, vertex_boundary
 
 PROFILE_MAX_VERTICES = 24
-SUBSET_BUDGET = 10**7
 
 _REV_MASKS = (
     (np.uint64(1), np.uint64(0x5555555555555555)),
@@ -82,8 +81,13 @@ class IsoProfile:
     max_strong_boundary_witness: tuple[int, ...]
 
 
+@lru_cache(maxsize=1)
 def iso_profile(g: Graph) -> IsoProfile:
-    """Sweep all 2^n subsets once and aggregate both profiles by size."""
+    """Sweep all 2^n subsets once and aggregate both profiles by size.
+
+    Cached for the last graph only, so that the bounds evaluated on one
+    graph (strong_boundary, and family's generic value) share one sweep.
+    """
     n = g.n
     if n > PROFILE_MAX_VERTICES:
         raise BudgetExceededError(
@@ -115,11 +119,6 @@ def iso_profile(g: Graph) -> IsoProfile:
     return IsoProfile(n, tuple(bv), tuple(cv), tuple(bw), tuple(cw))
 
 
-def _check_subset_budget(n: int, k: int) -> None:
-    if comb(n, k) > SUBSET_BUDGET:
-        raise BudgetExceededError(f"C({n},{k}) size-{k} subsets exceed {SUBSET_BUDGET}")
-
-
 def min_boundary(g: Graph, k: int) -> tuple[int, int]:
     """Minimum |Gamma(X)| over |X| = k, with its first witness.
 
@@ -129,7 +128,7 @@ def min_boundary(g: Graph, k: int) -> tuple[int, int]:
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"subset size {k} outside 1..{g.n}")
-    _check_subset_budget(g.n, k)
+    check_subset_budget(g.n, k)
     best, best_mask = g.n + 1, 0
     for combo in combinations(range(g.n), k):
         x = mask_of(combo)
@@ -143,7 +142,7 @@ def max_strong_boundary(g: Graph, k: int) -> tuple[int, int]:
     """Maximum |GammaS(X)| over |X| = k, with its first witness."""
     if not 1 <= k <= g.n:
         raise ValueError(f"subset size {k} outside 1..{g.n}")
-    _check_subset_budget(g.n, k)
+    check_subset_budget(g.n, k)
     best, best_mask = -1, 0
     for combo in combinations(range(g.n), k):
         x = mask_of(combo)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from boxkit import isoperimetry
 from boxkit.cli import main
 from boxkit.edgelist import (
     format_edge_list,
@@ -17,6 +18,7 @@ from boxkit.families import RandomModelSpec, complement_cycle, enumerate_graphs,
 from boxkit.graphs import complete_graph, cycle, empty_graph
 from boxkit.harness import (
     ALL_BOUNDS,
+    BOUNDS,
     CSV_HEADER,
     ExperimentConfig,
     emit,
@@ -112,6 +114,34 @@ def test_run_bounds_selection_validation():
         run_bounds(cycle(4), ["all", "spectral"])
 
 
+@pytest.mark.parametrize("g", [cycle(4), complete_graph(5)], ids=["C4", "K5"])
+@pytest.mark.parametrize("name", ALL_BOUNDS)
+def test_every_registered_bound_reports_under_its_own_name(name, g):
+    assert run_bounds(g, [name])[0].name == name
+
+
+def test_registry_is_the_bound_list():
+    assert ALL_BOUNDS == tuple(BOUNDS) == (
+        "min_supergraph", "strong_boundary", "family", "degree_ratio",
+        "universal", "spectral", "expansion")
+
+
+def test_family_reuses_the_strong_boundary_profile(monkeypatch):
+    builds = []
+    real = isoperimetry._subset_table
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(isoperimetry, "_subset_table", counted)
+    isoperimetry.iso_profile.cache_clear()
+    reports = run_bounds(complement_cycle(9), ["strong_boundary", "family"])
+    assert reports[1].certificate["generic_value"] == reports[0].value
+    # one profile sweep builds one union and one intersection table
+    assert len(builds) == 2
+
+
 def test_run_bounds_budget_becomes_inapplicable_row():
     reports = run_bounds(empty_graph(30), ["min_supergraph", "strong_boundary"])
     assert all(r.reason == "budget_exceeded" for r in reports)
@@ -202,6 +232,17 @@ def test_parse_config_bounds_all_and_flags():
 def test_parse_config_rejections(text):
     with pytest.raises(ValueError):
         parse_config(text)
+
+
+def test_experiment_config_selection_matches_run_bounds():
+    common = {"model": "gnp", "n_values": (6,), "seeds": 1, "master_seed": 0,
+              "p_values": (Fraction(1, 2),)}
+    assert ExperimentConfig(bounds=("all",), **common).bounds == ALL_BOUNDS
+    assert ExperimentConfig(bounds=["universal"], **common).bounds == ("universal",)
+    with pytest.raises(ValueError, match="duplicate bound selection"):
+        ExperimentConfig(bounds=("universal", "universal"), **common)
+    with pytest.raises(ValueError, match="unknown bound"):
+        ExperimentConfig(bounds=("all", "universal"), **common)
 
 
 def test_experiment_config_parameter_exclusivity():
@@ -403,4 +444,13 @@ def test_cli_experiment_zero_denominator(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(["experiment", "--config", config_file, "--out", str(out)]) == 2
     assert "zero denominator" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_experiment_duplicate_bounds(tmp_path, capsys):
+    config_file = _write(tmp_path / "sweep.cfg", GOOD_CONFIG.replace(
+        "bounds=strong_boundary,universal", "bounds=degree_ratio,degree_ratio"))
+    out = tmp_path / "rows.csv"
+    assert main(["experiment", "--config", config_file, "--out", str(out)]) == 2
+    assert "duplicate bound selection" in capsys.readouterr().err
     assert not out.exists()
