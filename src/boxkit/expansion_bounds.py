@@ -21,6 +21,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import floor
 
+import numpy as np
+
 from .bitset import bits, full_mask, mask_of, members, popcount
 from .errors import check_subset_budget
 from .graphs import (
@@ -32,7 +34,6 @@ from .graphs import (
     degree_summary,
     induced_subgraph,
     is_complete,
-    open_neighborhood,
     strong_vertex_boundary,
     universal_vertices,
 )
@@ -42,6 +43,8 @@ EXPANSION = "expansion"
 UNIVERSAL = "universal"
 BIPARTITE_UNIVERSAL = "bipartite_universal"
 T_EXPANDER = "t_expander"
+
+_WORD = (1 << 64) - 1
 
 
 def cross_expansion(g: Graph, subset_side: int, target_side: int, t: int) -> Fraction:
@@ -75,14 +78,29 @@ def co_expansion_table(g: Graph, subset_side: int, target_side: int,
 
 
 def _min_reach(co: Graph, pool: tuple[int, ...], target_side: int, j: int) -> int:
-    """m_j: fewest target vertices any j pool vertices reach in co."""
+    """m_j: fewest target vertices any j pool vertices reach in co.
+
+    The j-subsets are built one member at a time as numpy arrays of
+    reach sets (co.rows[v] & target_side, split into 64-bit words).  A
+    layer lists its prefixes grouped by last pool index, ascending, and
+    keeps only those that can still grow to size j, so it never holds
+    more than C(len(pool), j) entries, and the prefixes a new last index
+    x extends are the leading slice with last index below x.
+    """
     check_subset_budget(len(pool), j)
-    best = None
-    for combo in combinations(pool, j):
-        reach = popcount(open_neighborhood(co, mask_of(combo)) & target_side)
-        if best is None or reach < best:
-            best = reach
-    return best
+    words = (co.n + 63) // 64
+    rows = np.array([[(co.rows[v] & target_side) >> (64 * w) & _WORD for w in range(words)]
+                     for v in pool], dtype=np.uint64)
+    # Every member may sit at most `slack` places past its earliest slot;
+    # ends[i] counts the prefixes whose last index is at most i past it.
+    slack = len(pool) - j
+    reach = np.zeros((1, words), dtype=np.uint64)
+    ends = np.ones(slack + 1, dtype=np.int64)
+    for size in range(j - 1):
+        reach = np.concatenate([reach[:ends[i]] | rows[size + i] for i in range(slack + 1)])
+        ends = np.cumsum(ends)
+    return min(int(np.bitwise_count(reach[:ends[i]] | rows[j - 1 + i]).sum(axis=1).min())
+               for i in range(slack + 1))
 
 
 @dataclass(frozen=True)

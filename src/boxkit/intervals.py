@@ -159,10 +159,15 @@ def boundary_size_counts(g: Graph) -> np.ndarray:
         raise BudgetExceededError(
             f"subset table needs 2^{g.n} entries; capped at n <= {PROFILE_MAX_VERTICES}"
         )
-    size = 1 << g.n
-    idx = np.arange(size, dtype=np.uint64)
     union = _subset_table(g.rows, g.n, use_and=False)
-    return np.bitwise_count(union & ~idx)
+    # In place, so the peak holds two 2^n uint64 tables, not four.
+    outside = np.arange(1 << g.n, dtype=np.uint64)
+    np.invert(outside, out=outside)
+    union &= outside
+    return np.bitwise_count(union)
+
+
+_UNFILLED = np.iinfo(np.int32).max
 
 
 def min_interval_supergraph(g: Graph) -> MinSupergraph:
@@ -171,35 +176,53 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
     The edge count of the canonical supergraph for eta equals the sum of
     |Gamma(S_k)| over the proper prefixes S_k of eta, so the minimum over
     orderings is f(V) with f(S) = |Gamma(S)| + min over v in S of
-    f(S - v).  Ties break toward the smallest vertex, making the
-    returned ordering deterministic.
+    f(S - v).
+
+    The DP fills f one popcount layer at a time, each layer as one numpy
+    array of masks.  Every entry but f(0) starts at the int32 maximum, so
+    for v outside S the read f(S ^ v) lands in the unfilled layer above
+    and never wins; no membership mask is needed.  v runs in ascending
+    order and only a strictly smaller value replaces the best so far, so
+    ties break toward the smallest vertex and the returned ordering is
+    deterministic.
     """
     n = g.n
     sizes = boundary_size_counts(g)
     size = 1 << n
-    f = [0] * size
-    choice = [0] * size
-    for s in range(1, size):
-        best = None
-        best_v = -1
-        rest = s
-        while rest:
-            low = rest & -rest
-            val = f[s ^ low]
-            if best is None or val < best:
-                best = val
-                best_v = low
-            rest ^= low
-        f[s] = best + int(sizes[s])
-        choice[s] = best_v
+    pop = np.bitwise_count(np.arange(size, dtype=np.uint32))
+    by_layer = np.argsort(pop, kind="stable").astype(np.int32)
+    ends = np.cumsum(np.bincount(pop, minlength=n + 1))
+    del pop
+    f = np.full(size, _UNFILLED, dtype=np.int32)
+    f[0] = 0
+    choice = np.zeros(size, dtype=np.uint8)
+    width = int(np.diff(ends).max())
+    nbr_buf = np.empty(width, dtype=np.int32)
+    val_buf = np.empty(width, dtype=np.int32)
+    better_buf = np.empty(width, dtype=bool)
+    for k in range(1, n + 1):
+        masks = by_layer[ends[k - 1]:ends[k]]
+        count = len(masks)
+        nbr, val, better = nbr_buf[:count], val_buf[:count], better_buf[:count]
+        best = np.full(count, _UNFILLED, dtype=np.int32)
+        best_v = np.zeros(count, dtype=np.uint8)
+        for v in range(n):
+            np.bitwise_xor(masks, np.int32(1 << v), out=nbr)
+            np.take(f, nbr, out=val)
+            np.less(val, best, out=better)
+            np.copyto(best, val, where=better)
+            np.copyto(best_v, np.uint8(v), where=better)
+        best += sizes[masks]
+        f[masks] = best
+        choice[masks] = best_v
     seq_rev = []
     s = size - 1
     while s:
-        v_bit = choice[s]
-        seq_rev.append(v_bit.bit_length() - 1)
-        s ^= v_bit
+        v = int(choice[s])
+        seq_rev.append(v)
+        s ^= 1 << v
     ordering = Ordering.from_sequence(tuple(reversed(seq_rev)))
-    return MinSupergraph(f[size - 1], ordering)
+    return MinSupergraph(int(f[size - 1]), ordering)
 
 
 @dataclass(frozen=True)
@@ -358,10 +381,13 @@ def boxicity_exact(g: Graph, max_k: int | None = None) -> ExactBoxicity:
 
     Boxicity never exceeds floor(n/2), so the default cap is exact; a
     caller-supplied max_k below that turns into a budget error when the
-    true value lies beyond it.
+    true value lies beyond it.  A negative max_k is a bad argument, not
+    an exhausted search, and raises ValueError.
     """
     limit = g.n // 2
     if max_k is not None:
+        if max_k < 0:
+            raise ValueError(f"max_k must be nonnegative, got {max_k}")
         limit = min(limit, max_k)
     for k in range(limit + 1):
         cert = boxicity_le(g, k)

@@ -351,6 +351,12 @@ def test_cli_exact_budget_exit_code(tmp_path, capsys):
     assert main(["exact", "--input", graph_file]) == 3
 
 
+def test_cli_exact_negative_max_k_is_bad_input(tmp_path, capsys):
+    graph_file = _write(tmp_path / "c4.edges", C4_TEXT)
+    assert main(["exact", "--input", graph_file, "--max-k", "-1"]) == 2
+    assert capsys.readouterr().err == "error: max_k must be nonnegative, got -1\n"
+
+
 def test_cli_missing_input_file(tmp_path, capsys):
     assert main(["exact", "--input", str(tmp_path / "absent.edges")]) == 2
 

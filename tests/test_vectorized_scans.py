@@ -1,0 +1,150 @@
+"""The numpy supergraph DP and min-reach scan against the Python loops
+they replaced, kept here as oracles."""
+
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from boxkit import expansion_bounds
+from boxkit.bitset import mask_of, members, popcount
+from boxkit.errors import BudgetExceededError, check_subset_budget
+from boxkit.expansion_bounds import _min_reach
+from boxkit.families import (
+    RandomModelSpec,
+    bipartite_tight_family,
+    cobipartite_tight_family,
+    complement_cycle,
+    complete_multipartite,
+    sample,
+)
+from boxkit.graphs import BipartiteGraph, bipartition, complement, from_pair_mask, open_neighborhood
+from boxkit.intervals import boundary_size_counts, boxicity_exact, min_interval_supergraph
+
+
+def _python_min_supergraph(g):
+    """The subset DP as a plain loop over masks: f(S) = |Gamma(S)| + min
+    over v in S of f(S - v), v ascending, strict improvements only."""
+    sizes = boundary_size_counts(g)
+    size = 1 << g.n
+    f = [0] * size
+    choice = [0] * size
+    for s in range(1, size):
+        best = None
+        best_v = -1
+        rest = s
+        while rest:
+            low = rest & -rest
+            val = f[s ^ low]
+            if best is None or val < best:
+                best = val
+                best_v = low
+            rest ^= low
+        f[s] = best + int(sizes[s])
+        choice[s] = best_v
+    seq_rev = []
+    s = size - 1
+    while s:
+        v_bit = choice[s]
+        seq_rev.append(v_bit.bit_length() - 1)
+        s ^= v_bit
+    return f[size - 1], tuple(reversed(seq_rev))
+
+
+def _loop_min_reach(co, pool, target_side, j):
+    """m_j by scanning every j-subset of the pool."""
+    check_subset_budget(len(pool), j)
+    best = None
+    for combo in combinations(pool, j):
+        reach = popcount(open_neighborhood(co, mask_of(combo)) & target_side)
+        if best is None or reach < best:
+            best = reach
+    return best
+
+
+def _as_graph(drawn):
+    return drawn.to_graph() if isinstance(drawn, BipartiteGraph) else drawn
+
+
+def _splits(g):
+    """(pool, target) pairs as best_expansion_bound forms them: the whole
+    vertex set against itself, and each side of a bipartition against
+    the other."""
+    out = [(g.vertices, g.vertices)]
+    sides = bipartition(g)
+    if sides is not None:
+        out += [(sides[1], sides[0]), (sides[0], sides[1])]
+    return out
+
+
+def _assert_matches_oracles(g):
+    result = min_interval_supergraph(g)
+    assert (result.edge_count, result.ordering.sequence()) == _python_min_supergraph(g)
+    co = complement(g)
+    for pool_mask, target in _splits(g):
+        pool = members(pool_mask)
+        for j in range(1, len(pool) + 1):
+            assert _min_reach(co, pool, target, j) == _loop_min_reach(co, pool, target, j), j
+
+
+def _drawn(n):
+    half = Fraction(1, 2)
+    specs = [RandomModelSpec("gnp", n, seed, p=p)
+             for seed in (1, 2) for p in (Fraction(1, 4), half, Fraction(3, 4))]
+    specs += [RandomModelSpec("regular", n, seed, k=3) for seed in (1, 2)]
+    specs += [RandomModelSpec("bipartite_gnp", n, seed, p=half) for seed in (1, 2)]
+    return [_as_graph(sample(spec)) for spec in specs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_numpy_scans_match_loops_on_every_labelled_graph(n):
+    for mask in range(1 << (n * (n - 1) // 2)):
+        _assert_matches_oracles(from_pair_mask(n, mask))
+
+
+@pytest.mark.parametrize("n", [8, 10, 12, 14, 16])
+def test_numpy_scans_match_loops_on_drawn_graphs(n):
+    for g in _drawn(n):
+        _assert_matches_oracles(g)
+
+
+@pytest.mark.parametrize("g", [
+    complement_cycle(14),
+    cobipartite_tight_family(3, 3).graph,
+    complete_multipartite(2, 9),
+    complement_cycle(18),
+    bipartite_tight_family(3, 3).graph,
+], ids=["co-C14", "cobipartite(3,3)", "K_2x9", "co-C18", "bipartite(3,3)"])
+def test_numpy_scans_match_loops_on_named_graphs(g):
+    _assert_matches_oracles(g)
+
+
+def test_min_reach_matches_loop_past_one_word():
+    g = sample(RandomModelSpec("gnp", 70, 5, p=Fraction(1, 3)))
+    co = complement(g)
+    for pool_mask, target in [(g.vertices, g.vertices),
+                              (mask_of(range(0, 70, 2)), mask_of(range(1, 70, 2))),
+                              (mask_of(range(60, 70)), mask_of(range(64)))]:
+        pool = members(pool_mask)
+        for j in (1, 2, len(pool) - 1, len(pool)):
+            assert _min_reach(co, pool, target, j) == _loop_min_reach(co, pool, target, j)
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used before the budget check")
+
+
+def test_min_reach_budget_raises_before_any_array(monkeypatch):
+    g = sample(RandomModelSpec("gnp", 40, 1, p=Fraction(1, 2)))
+    monkeypatch.setattr(expansion_bounds, "np", _NoNumpy())
+    with pytest.raises(BudgetExceededError, match=r"C\(40,8\) subsets exceed"):
+        _min_reach(complement(g), members(g.vertices), g.vertices, 8)
+
+
+def test_boxicity_exact_rejects_negative_cap():
+    with pytest.raises(ValueError):
+        boxicity_exact(complement_cycle(6), max_k=-1)
+    with pytest.raises(ValueError):
+        boxicity_exact(complete_multipartite(1, 3), max_k=-1)
+    assert boxicity_exact(complete_multipartite(1, 3), max_k=0).value == 0
