@@ -78,6 +78,7 @@ from .intervals import (
 )
 from .isoperimetry import (
     IsoProfile,
+    complement_profile,
     iso_profile,
     max_strong_boundary,
     min_boundary,

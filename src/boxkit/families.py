@@ -23,6 +23,7 @@ from .graphs import (
     BipartiteGraph,
     Graph,
     bipartite_from_edges,
+    check_vertex_count,
     complement,
     cycle,
     from_edges,
@@ -54,8 +55,7 @@ class RandomModelSpec:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        check_vertex_count(self.n)
         if self.model.startswith("bipartite") and self.n % 2:
             raise ValueError("bipartite models need an even vertex count")
         if self.model.endswith("gnp"):
@@ -212,6 +212,7 @@ def cobipartite_tight_family(k: int, l: int) -> TightFamilyCertificate:
     if k < 1 or l < 1:
         raise ValueError("k and l must be positive")
     n = 2 * k * l
+    check_vertex_count(n)
     half = k * l
 
     def a_block(v: int) -> int | None:
@@ -264,6 +265,7 @@ def bipartite_tight_family(k: int, l: int) -> TightFamilyCertificate:
         raise ValueError("k and l must be positive")
     half = k * l
     n = 2 * half
+    check_vertex_count(n)
     edges = []
     for a in range(half):
         for b in range(half):

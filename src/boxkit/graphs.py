@@ -18,6 +18,13 @@ from .bitset import bits, full_mask, mask_of, popcount
 MAX_VERTICES = 2000
 
 
+def check_vertex_count(n: int) -> None:
+    """Reject a vertex count outside 1..MAX_VERTICES before anything of
+    size n is built."""
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
@@ -26,8 +33,7 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
+        check_vertex_count(self.n)
         if len(self.rows) != self.n:
             raise ValueError("row count does not match vertex count")
         full = full_mask(self.n)
@@ -69,6 +75,7 @@ class Graph:
 
 def from_edges(n: int, edges) -> Graph:
     """Graph from an iterable of (u, v) pairs.  Duplicates collapse."""
+    check_vertex_count(n)
     rows = [0] * n
     for u, v in edges:
         if u == v:

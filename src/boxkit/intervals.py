@@ -27,7 +27,7 @@ import numpy as np
 from .bitset import bits, full_mask, mask_of, popcount
 from .errors import BudgetExceededError
 from .graphs import Graph, is_complete
-from .isoperimetry import PROFILE_MAX_VERTICES, _subset_table
+from .isoperimetry import boundary_table
 
 BOX_MAX_VERTICES = 8
 BOX_SEARCH_NODE_BUDGET = 10**6
@@ -153,20 +153,6 @@ class MinSupergraph(NamedTuple):
     ordering: Ordering
 
 
-def boundary_size_counts(g: Graph) -> np.ndarray:
-    """|Gamma(X)| for every subset mask X, indexed by mask."""
-    if g.n > PROFILE_MAX_VERTICES:
-        raise BudgetExceededError(
-            f"subset table needs 2^{g.n} entries; capped at n <= {PROFILE_MAX_VERTICES}"
-        )
-    union = _subset_table(g.rows, g.n, use_and=False)
-    # In place, so the peak holds two 2^n uint64 tables, not four.
-    outside = np.arange(1 << g.n, dtype=np.uint64)
-    np.invert(outside, out=outside)
-    union &= outside
-    return np.bitwise_count(union)
-
-
 _UNFILLED = np.iinfo(np.int32).max
 
 
@@ -178,49 +164,49 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
     orderings is f(V) with f(S) = |Gamma(S)| + min over v in S of
     f(S - v).
 
-    The DP fills f one popcount layer at a time, each layer as one numpy
-    array of masks.  Every entry but f(0) starts at the int32 maximum, so
-    for v outside S the read f(S ^ v) lands in the unfilled layer above
-    and never wins; no membership mask is needed.  v runs in ascending
-    order and only a strictly smaller value replaces the best so far, so
-    ties break toward the smallest vertex and the returned ordering is
-    deterministic.
+    The DP fills f one popcount layer at a time, each layer a contiguous
+    slice of the boundary table.  f(S) is stored at the table's address
+    for S, which the table walks in descending order within a layer, so
+    every layer reads and writes f in address order.  Every entry but
+    f(0) starts at the int32 maximum, so for v outside S the read
+    f(S - v) lands in the unfilled layer above and never wins; no
+    membership mask is needed.  v runs in ascending order and only a
+    strictly smaller value replaces the best so far, so ties break toward
+    the smallest vertex and the returned ordering is deterministic.
     """
     n = g.n
-    sizes = boundary_size_counts(g)
+    addresses, vertex_bits, starts, sizes = boundary_table(g)
     size = 1 << n
-    pop = np.bitwise_count(np.arange(size, dtype=np.uint32))
-    by_layer = np.argsort(pop, kind="stable").astype(np.int32)
-    ends = np.cumsum(np.bincount(pop, minlength=n + 1))
-    del pop
     f = np.full(size, _UNFILLED, dtype=np.int32)
     f[0] = 0
     choice = np.zeros(size, dtype=np.uint8)
-    width = int(np.diff(ends).max())
-    nbr_buf = np.empty(width, dtype=np.int32)
+    width = max(b - a for a, b in zip(starts, starts[1:]))
+    nbr_buf = np.empty(width, dtype=np.intp)
     val_buf = np.empty(width, dtype=np.int32)
     better_buf = np.empty(width, dtype=bool)
     for k in range(1, n + 1):
-        masks = by_layer[ends[k - 1]:ends[k]]
-        count = len(masks)
+        a, b = starts[k], starts[k + 1]
+        # intp, so that the gathers and scatters below need no cast
+        layer = addresses[a:b].astype(np.intp)
+        count = b - a
         nbr, val, better = nbr_buf[:count], val_buf[:count], better_buf[:count]
         best = np.full(count, _UNFILLED, dtype=np.int32)
         best_v = np.zeros(count, dtype=np.uint8)
         for v in range(n):
-            np.bitwise_xor(masks, np.int32(1 << v), out=nbr)
+            np.bitwise_xor(layer, vertex_bits[v], out=nbr)
             np.take(f, nbr, out=val)
             np.less(val, best, out=better)
             np.copyto(best, val, where=better)
             np.copyto(best_v, np.uint8(v), where=better)
-        best += sizes[masks]
-        f[masks] = best
-        choice[masks] = best_v
+        best += sizes[a:b]
+        f[layer] = best
+        choice[layer] = best_v
     seq_rev = []
     s = size - 1
     while s:
         v = int(choice[s])
         seq_rev.append(v)
-        s ^= 1 << v
+        s ^= vertex_bits[v]
     ordering = Ordering.from_sequence(tuple(reversed(seq_rev)))
     return MinSupergraph(int(f[size - 1]), ordering)
 

@@ -7,19 +7,31 @@ boundary size and the maximum strong-boundary size are the two profile
 values computed here.  The two are tied through complementation:
 
     max_strong(k, complement(g)) = n - k - min_boundary(k, g)
+    min_boundary(k, complement(g)) = n - k - max_strong(k, g)
 
-which the test suite checks by computing both sides independently.
+so complement_profile derives the complement's profile, witnesses
+included, from the graph's own.
 
-The full profile walks all 2^n subsets at once.  Subset tables obey
-table[X] = table[X - lowbit] op row[lowbit], so filling them in order of
-decreasing lowest set bit turns the walk into n strided numpy passes.
+Every table over the 2^n subsets shares one layout: subsets ordered by
+size, and lexicographically (as sorted member tuples) within each size.
+Layer k is one contiguous slice, and the first extremum of a slice is
+its lexicographically smallest witness.  The layout follows the
+recursion L(lo, k) = ({lo} + L(lo + 1, k - 1)) ++ L(lo + 1, k), so a
+table with table[X] = table[X - lo] op row[lo] is filled in place one
+vertex at a time, from the last vertex to the first, with no sort and
+no gather.  _layers names each position's subset by its bit-reversed
+mask, the address at which the supergraph DP stores it.  boundary_table
+holds |Gamma(X)| in this layout, built once per graph; the DP and
+iso_profile read the same copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, pairwise
+from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,41 +41,98 @@ from .graphs import Graph, strong_vertex_boundary, vertex_boundary
 
 PROFILE_MAX_VERTICES = 24
 
-_REV_MASKS = (
-    (np.uint64(1), np.uint64(0x5555555555555555)),
-    (np.uint64(2), np.uint64(0x3333333333333333)),
-    (np.uint64(4), np.uint64(0x0F0F0F0F0F0F0F0F)),
-)
+
+def _layer_starts(n: int) -> tuple[int, ...]:
+    """Layer k of the size-ordered layout is [starts[k], starts[k+1])."""
+    starts = [0]
+    for k in range(n + 1):
+        starts.append(starts[-1] + comb(n, k))
+    return tuple(starts)
 
 
-def _bit_reverse64(a: np.ndarray) -> np.ndarray:
-    for shift, mask in _REV_MASKS:
-        a = ((a >> shift) & mask) | ((a & mask) << shift)
-    return a.byteswap()
+def _fill_layers(first: np.generic, rows, op) -> np.ndarray:
+    """table[X] = first op rows[x] op ... over x in X, for every subset X
+    of range(len(rows)), in the size-then-lex layout."""
+    n = len(rows)
+    table = np.empty(1 << n, dtype=first.dtype)
+    table[0] = first
+    for lo in range(n - 1, -1, -1):
+        # The new layer k is (lo + old layer k-1) ++ (old layer k), so each
+        # old layer j at [a, b) moves to [2a, a+b) and is followed by
+        # itself with lo added.  Going from the last layer down, no write
+        # lands on an old layer not yet moved.
+        row = first.dtype.type(rows[lo])
+        for a, b in reversed(tuple(pairwise(_layer_starts(n - lo - 1)))):
+            op(table[a:b], row, out=table[a + b:2 * b])
+            table[2 * a:a + b] = table[a:b]  # numpy copies overlaps safely
+    table.flags.writeable = False
+    return table
 
 
-def _lex_smallest(masks: np.ndarray, n: int) -> int:
-    # Among equal-size sets, lexicographic order on sorted member tuples
-    # is descending numeric order of the bit-reversed masks.
-    rev = _bit_reverse64(masks.copy()) >> np.uint64(64 - n)
-    return int(masks[int(np.argmax(rev))])
+@lru_cache(maxsize=1)
+def _layers(n: int) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
+    """Every subset of range(n), by size and then lexicographically, with
+    the bit of each vertex and the layer starts.
+
+    Each subset is stored as its bit-reversed mask (vertex x at bit
+    n - 1 - x).  Lexicographic order on sets is descending order on these
+    values, so an array addressed by them is swept in address order as a
+    layer is walked; the supergraph DP addresses its table this way.
+    int32 holds the addresses up to PROFILE_MAX_VERTICES at half the
+    memory of intp.
+    """
+    vertex_bits = tuple(1 << (n - 1 - v) for v in range(n))
+    addresses = _fill_layers(np.int32(0), vertex_bits, np.bitwise_or)
+    return addresses, vertex_bits, _layer_starts(n)
+
+
+def _unreverse(address: int, n: int) -> int:
+    """The subset mask of a bit-reversed n-bit address."""
+    return int(f"{address:0{n}b}"[::-1], 2)
 
 
 def _subset_table(rows: tuple[int, ...], n: int, use_and: bool) -> np.ndarray:
-    size = 1 << n
+    """OR (or AND) of rows[x] over x in X, for every subset X, in the
+    _layers order.  uint32 holds the rows up to PROFILE_MAX_VERTICES."""
     if use_and:
-        table = np.full(size, np.uint64((1 << n) - 1))
-    else:
-        table = np.zeros(size, dtype=np.uint64)
-    for b in range(n - 1, -1, -1):
-        step = 1 << (b + 1)
-        half = 1 << b
-        row = np.uint64(rows[b])
-        if use_and:
-            table[half::step] = table[0::step] & row
-        else:
-            table[half::step] = table[0::step] | row
-    return table
+        return _fill_layers(np.uint32((1 << n) - 1), rows, np.bitwise_and)
+    return _fill_layers(np.uint32(0), rows, np.bitwise_or)
+
+
+class BoundaryTable(NamedTuple):
+    """|Gamma(X)| for every subset X of one graph, in the layer layout.
+
+    Layer k is [starts[k], starts[k+1]).  addresses[i] names the subset
+    at position i as the OR of vertex_bits[x] over its members x, and
+    sizes[i] is its boundary size.  Both arrays are read-only and shared
+    by every caller.
+    """
+
+    addresses: np.ndarray
+    vertex_bits: tuple[int, ...]
+    starts: tuple[int, ...]
+    sizes: np.ndarray
+
+
+@lru_cache(maxsize=1)
+def boundary_table(g: Graph) -> BoundaryTable:
+    """The boundary sizes of every subset, built once per graph.
+
+    Without self-loops, |Gamma(X)| = |N[x1] | ... | N[xk]| - |X| over
+    the closed neighbourhoods, and |X| is constant on each layer.
+    """
+    n = g.n
+    if n > PROFILE_MAX_VERTICES:
+        raise BudgetExceededError(
+            f"subset table needs 2^{n} entries; capped at n <= {PROFILE_MAX_VERTICES}"
+        )
+    addresses, vertex_bits, starts = _layers(n)
+    closed = tuple(row | 1 << v for v, row in enumerate(g.rows))
+    sizes = np.bitwise_count(_subset_table(closed, n, use_and=False))
+    for k, (a, b) in enumerate(pairwise(starts)):
+        sizes[a:b] -= np.uint8(k)
+    sizes.flags.writeable = False
+    return BoundaryTable(addresses, vertex_bits, starts, sizes)
 
 
 @dataclass(frozen=True)
@@ -83,40 +152,45 @@ class IsoProfile:
 
 @lru_cache(maxsize=1)
 def iso_profile(g: Graph) -> IsoProfile:
-    """Sweep all 2^n subsets once and aggregate both profiles by size.
+    """Both profiles from two subset tables, one extremum per layer.
 
     Cached for the last graph only, so that the bounds evaluated on one
     graph (strong_boundary, and family's generic value) share one sweep.
     """
     n = g.n
-    if n > PROFILE_MAX_VERTICES:
-        raise BudgetExceededError(
-            f"profile sweep needs 2^{n} subsets; capped at n <= {PROFILE_MAX_VERTICES}"
-        )
-    size = 1 << n
-    idx = np.arange(size, dtype=np.uint64)
-    pop = np.bitwise_count(idx)
-
-    union = _subset_table(g.rows, n, use_and=False)
-    boundary_sizes = np.bitwise_count(union & ~idx)
-    del union
-    inter = _subset_table(g.rows, n, use_and=True)
-    strong_sizes = np.bitwise_count(inter & ~idx)
-    del inter
-
+    addresses, _, starts, boundary = boundary_table(g)
+    # Without self-loops the common neighbours of X all lie outside X.
+    strong = np.bitwise_count(_subset_table(g.rows, n, use_and=True))
     bv, cv, bw, cw = [], [], [], []
     for k in range(1, n):
-        sel = pop == k
-        masks_k = idx[sel]
-        b_vals = boundary_sizes[sel]
-        c_vals = strong_sizes[sel]
-        b_best = int(b_vals.min())
-        c_best = int(c_vals.max())
-        bv.append(b_best)
-        cv.append(c_best)
-        bw.append(_lex_smallest(masks_k[b_vals == b_best], n))
-        cw.append(_lex_smallest(masks_k[c_vals == c_best], n))
+        a, b = starts[k], starts[k + 1]
+        i = a + int(boundary[a:b].argmin())
+        j = a + int(strong[a:b].argmax())
+        bv.append(int(boundary[i]))
+        cv.append(int(strong[j]))
+        bw.append(_unreverse(int(addresses[i]), n))
+        cw.append(_unreverse(int(addresses[j]), n))
     return IsoProfile(n, tuple(bv), tuple(cv), tuple(bw), tuple(cw))
+
+
+def complement_profile(profile: IsoProfile) -> IsoProfile:
+    """The profile of the complement, from the graph's own profile.
+
+    Outside X, a vertex lies in the complement's strong boundary exactly
+    when it lies outside g's boundary, and in the complement's boundary
+    exactly when it lies outside g's strong boundary.  So each extremum
+    of one graph is the other's with the same lexicographically smallest
+    witness.
+    """
+    n = profile.n
+    sizes = range(1, n)
+    return IsoProfile(
+        n,
+        tuple(n - k - s for k, s in zip(sizes, profile.max_strong_boundary)),
+        tuple(n - k - b for k, b in zip(sizes, profile.min_boundary)),
+        profile.max_strong_boundary_witness,
+        profile.min_boundary_witness,
+    )
 
 
 def min_boundary(g: Graph, k: int) -> tuple[int, int]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graphs import Graph, complement, degree_summary, is_complete, is_connected
-from .isoperimetry import iso_profile, max_strong_boundary
+from .isoperimetry import complement_profile, iso_profile, max_strong_boundary
 from .intervals import min_interval_supergraph
 from .reports import BoundReport, bound_report, not_applicable
 
@@ -50,13 +50,14 @@ def strong_boundary_bound(g: Graph) -> BoundReport:
     """nonedges(g) divided by the summed strong-boundary profile of the
     complement.  Weaker than min_supergraph_bound but the profile is the
     quantity closed-form family bounds estimate, so it is reported with
-    its full certificate."""
+    its full certificate.  The complement's profile comes from g's own
+    (complement_profile), so this bound and min_supergraph_bound share
+    g's boundary table."""
     if is_complete(g):
         return not_applicable(STRONG_BOUNDARY, "complete_graph")
-    co = complement(g)
-    profile = iso_profile(co)
+    profile = complement_profile(iso_profile(g))
     total = sum(profile.max_strong_boundary)
-    value = Fraction(co.edge_count, total)
+    value = Fraction(complement(g).edge_count, total)
     cert = {"complement_profile": profile, "profile_sum": total}
     return bound_report(STRONG_BOUNDARY, value, cert)
 

@@ -142,6 +142,26 @@ def test_family_reuses_the_strong_boundary_profile(monkeypatch):
     assert len(builds) == 2
 
 
+def test_all_bounds_build_two_subset_tables_per_graph(monkeypatch):
+    builds = []
+    real = isoperimetry._subset_table
+
+    def counted(rows, n, use_and):
+        builds.append(use_and)
+        return real(rows, n, use_and)
+
+    monkeypatch.setattr(isoperimetry, "_subset_table", counted)
+    isoperimetry.iso_profile.cache_clear()
+    isoperimetry.boundary_table.cache_clear()
+    for g in (complement_cycle(9), cycle(10), complement_cycle(9)):
+        builds.clear()
+        run_bounds(g, ["all"])
+        # the supergraph DP and the profile share g's union table; the
+        # profile adds its intersection table, and the complement's
+        # profile is derived, not swept
+        assert builds == [False, True]
+
+
 def test_run_bounds_budget_becomes_inapplicable_row():
     reports = run_bounds(empty_graph(30), ["min_supergraph", "strong_boundary"])
     assert all(r.reason == "budget_exceeded" for r in reports)

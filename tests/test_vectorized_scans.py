@@ -1,9 +1,11 @@
-"""The numpy supergraph DP and min-reach scan against the Python loops
-they replaced, kept here as oracles."""
+"""The numpy supergraph DP, min-reach scan and isoperimetric profile
+against the loops and scans they replaced, kept here as oracles."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb
 
+import numpy as np
 import pytest
 
 from boxkit import expansion_bounds
@@ -18,18 +20,32 @@ from boxkit.families import (
     complete_multipartite,
     sample,
 )
-from boxkit.graphs import BipartiteGraph, bipartition, complement, from_pair_mask, open_neighborhood
-from boxkit.intervals import boundary_size_counts, boxicity_exact, min_interval_supergraph
+from boxkit.graphs import (
+    BipartiteGraph,
+    bipartition,
+    complement,
+    complete_graph,
+    empty_graph,
+    from_pair_mask,
+    open_neighborhood,
+)
+from boxkit.intervals import boxicity_exact, min_interval_supergraph
+from boxkit.isoperimetry import IsoProfile, _layers, _unreverse, complement_profile, iso_profile
 
 
 def _python_min_supergraph(g):
     """The subset DP as a plain loop over masks: f(S) = |Gamma(S)| + min
-    over v in S of f(S - v), v ascending, strict improvements only."""
-    sizes = boundary_size_counts(g)
+    over v in S of f(S - v), v ascending, strict improvements only.
+    |Gamma(S)| comes from the union of closed neighbourhoods, grown one
+    lowest vertex at a time."""
     size = 1 << g.n
     f = [0] * size
     choice = [0] * size
+    closed_union = [0] * size
     for s in range(1, size):
+        low = s & -s
+        v = low.bit_length() - 1
+        closed_union[s] = closed_union[s ^ low] | g.rows[v] | low
         best = None
         best_v = -1
         rest = s
@@ -40,7 +56,7 @@ def _python_min_supergraph(g):
                 best = val
                 best_v = low
             rest ^= low
-        f[s] = best + int(sizes[s])
+        f[s] = best + popcount(closed_union[s] & ~s)
         choice[s] = best_v
     seq_rev = []
     s = size - 1
@@ -62,6 +78,45 @@ def _loop_min_reach(co, pool, target_side, j):
     return best
 
 
+def _mask_order_table(rows, n, use_and):
+    """OR (or AND) of rows[x] over x in X, indexed by the mask of X."""
+    size = 1 << n
+    if use_and:
+        table = np.full(size, np.uint64((1 << n) - 1))
+    else:
+        table = np.zeros(size, dtype=np.uint64)
+    for b in range(n - 1, -1, -1):
+        step = 1 << (b + 1)
+        half = 1 << b
+        row = np.uint64(rows[b])
+        if use_and:
+            table[half::step] = table[0::step] & row
+        else:
+            table[half::step] = table[0::step] | row
+    return table
+
+
+def _scan_iso_profile(g):
+    """Both profiles by one boolean scan per size k over mask-indexed
+    tables, with the lexicographically smallest extremal set as witness."""
+    n = g.n
+    idx = np.arange(1 << n, dtype=np.uint64)
+    pop = np.bitwise_count(idx)
+    boundary = np.bitwise_count(_mask_order_table(g.rows, n, use_and=False) & ~idx)
+    strong = np.bitwise_count(_mask_order_table(g.rows, n, use_and=True) & ~idx)
+    bv, cv, bw, cw = [], [], [], []
+    for k in range(1, n):
+        sel = pop == k
+        masks_k = idx[sel]
+        b_vals = boundary[sel]
+        c_vals = strong[sel]
+        bv.append(int(b_vals.min()))
+        cv.append(int(c_vals.max()))
+        bw.append(min((int(x) for x in masks_k[b_vals == bv[-1]]), key=members))
+        cw.append(min((int(x) for x in masks_k[c_vals == cv[-1]]), key=members))
+    return IsoProfile(n, tuple(bv), tuple(cv), tuple(bw), tuple(cw))
+
+
 def _as_graph(drawn):
     return drawn.to_graph() if isinstance(drawn, BipartiteGraph) else drawn
 
@@ -80,6 +135,7 @@ def _splits(g):
 def _assert_matches_oracles(g):
     result = min_interval_supergraph(g)
     assert (result.edge_count, result.ordering.sequence()) == _python_min_supergraph(g)
+    assert iso_profile(g) == _scan_iso_profile(g)
     co = complement(g)
     for pool_mask, target in _splits(g):
         pool = members(pool_mask)
@@ -117,6 +173,32 @@ def test_numpy_scans_match_loops_on_drawn_graphs(n):
 ], ids=["co-C14", "cobipartite(3,3)", "K_2x9", "co-C18", "bipartite(3,3)"])
 def test_numpy_scans_match_loops_on_named_graphs(g):
     _assert_matches_oracles(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 16])
+def test_profile_matches_scan_on_empty_and_complete_graphs(n):
+    for g in (empty_graph(n), complete_graph(n)):
+        assert iso_profile(g) == _scan_iso_profile(g)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_layers_follow_combinations_order(n):
+    addresses, _, starts = _layers(n)
+    expected = [mask_of(c) for k in range(n + 1) for c in combinations(range(n), k)]
+    assert [_unreverse(int(a), n) for a in addresses] == expected
+    assert starts == tuple(accumulate((comb(n, k) for k in range(n + 1)), initial=0))
+    # descending within each layer, so the DP sweeps its table in order
+    for a, b in zip(starts, starts[1:]):
+        assert (np.diff(addresses[a:b]) < 0).all()
+
+
+@pytest.mark.parametrize("g", [complement_cycle(14), empty_graph(9), complete_graph(9)]
+                         + _drawn(12) + [from_pair_mask(6, m) for m in (0, 1, 4711, 32767)],
+                         ids=lambda g: f"n{g.n}m{g.edge_count}")
+def test_complement_profile_matches_direct_profile(g):
+    derived = complement_profile(iso_profile(g))
+    assert derived == iso_profile(complement(g))
+    assert complement_profile(derived) == iso_profile(g)
 
 
 def test_min_reach_matches_loop_past_one_word():
