@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bitset import bits, full_mask, mask_of, popcount
+from .bitset import bits, full_mask, popcount
 
 # Enumeration-heavy operations carry much tighter caps of their own; this
 # only guards against degenerate inputs (adjacency matrices stay dense).

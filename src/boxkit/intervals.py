@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bitset import bits, full_mask, mask_of, popcount
+from .bitset import bits, full_mask, popcount
 from .errors import BudgetExceededError
 from .graphs import Graph, is_complete
 from .isoperimetry import boundary_table
@@ -153,7 +153,7 @@ class MinSupergraph(NamedTuple):
     ordering: Ordering
 
 
-_UNFILLED = np.iinfo(np.int32).max
+_UNFILLED = np.iinfo(np.int16).max
 
 
 def min_interval_supergraph(g: Graph) -> MinSupergraph:
@@ -167,44 +167,43 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
     The DP fills f one popcount layer at a time, each layer a contiguous
     slice of the boundary table.  f(S) is stored at the table's address
     for S, which the table walks in descending order within a layer, so
-    every layer reads and writes f in address order.  Every entry but
-    f(0) starts at the int32 maximum, so for v outside S the read
-    f(S - v) lands in the unfilled layer above and never wins; no
-    membership mask is needed.  v runs in ascending order and only a
-    strictly smaller value replaces the best so far, so ties break toward
-    the smallest vertex and the returned ordering is deterministic.
+    every layer reads and writes f in address order.  f is int16: each
+    value is an edge count, at most C(n, 2) under PROFILE_MAX_VERTICES.
+    Every entry but f(0) starts at the int16 maximum, so for v outside S
+    the read f(S - v) lands in the unfilled layer above and never wins
+    the minimum; no membership mask is needed.
+
+    No choice table is kept.  The ordering is walked back from f: from
+    the full set, each step removes the smallest v in S whose f(S - v)
+    is least, so ties break toward the smallest vertex and the returned
+    ordering is deterministic.
     """
     n = g.n
     addresses, vertex_bits, starts, sizes = boundary_table(g)
     size = 1 << n
-    f = np.full(size, _UNFILLED, dtype=np.int32)
+    f = np.full(size, _UNFILLED, dtype=np.int16)
     f[0] = 0
-    choice = np.zeros(size, dtype=np.uint8)
     width = max(b - a for a, b in zip(starts, starts[1:]))
     nbr_buf = np.empty(width, dtype=np.intp)
-    val_buf = np.empty(width, dtype=np.int32)
-    better_buf = np.empty(width, dtype=bool)
+    val_buf = np.empty(width, dtype=np.int16)
     for k in range(1, n + 1):
         a, b = starts[k], starts[k + 1]
         # intp, so that the gathers and scatters below need no cast
         layer = addresses[a:b].astype(np.intp)
         count = b - a
-        nbr, val, better = nbr_buf[:count], val_buf[:count], better_buf[:count]
-        best = np.full(count, _UNFILLED, dtype=np.int32)
-        best_v = np.zeros(count, dtype=np.uint8)
+        nbr, val = nbr_buf[:count], val_buf[:count]
+        best = np.full(count, _UNFILLED, dtype=np.int16)
         for v in range(n):
             np.bitwise_xor(layer, vertex_bits[v], out=nbr)
             np.take(f, nbr, out=val)
-            np.less(val, best, out=better)
-            np.copyto(best, val, where=better)
-            np.copyto(best_v, np.uint8(v), where=better)
+            np.minimum(best, val, out=best)
         best += sizes[a:b]
         f[layer] = best
-        choice[layer] = best_v
     seq_rev = []
     s = size - 1
     while s:
-        v = int(choice[s])
+        v = min((v for v in range(n) if s & vertex_bits[v]),
+                key=lambda v: f[s ^ vertex_bits[v]])
         seq_rev.append(v)
         s ^= vertex_bits[v]
     ordering = Ordering.from_sequence(tuple(reversed(seq_rev)))

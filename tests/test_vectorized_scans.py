@@ -29,8 +29,15 @@ from boxkit.graphs import (
     from_pair_mask,
     open_neighborhood,
 )
-from boxkit.intervals import boxicity_exact, min_interval_supergraph
-from boxkit.isoperimetry import IsoProfile, _layers, _unreverse, complement_profile, iso_profile
+from boxkit.intervals import _UNFILLED, boxicity_exact, min_interval_supergraph
+from boxkit.isoperimetry import (
+    PROFILE_MAX_VERTICES,
+    IsoProfile,
+    _layers,
+    _unreverse,
+    complement_profile,
+    iso_profile,
+)
 
 
 def _python_min_supergraph(g):
@@ -179,6 +186,22 @@ def test_numpy_scans_match_loops_on_named_graphs(g):
 def test_profile_matches_scan_on_empty_and_complete_graphs(n):
     for g in (empty_graph(n), complete_graph(n)):
         assert iso_profile(g) == _scan_iso_profile(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 16])
+def test_supergraph_dp_matches_loop_on_empty_and_complete_graphs(n):
+    # Every ordering ties on an empty graph, so the walk back from f must
+    # break ties as the loop does; on a complete graph f reaches C(n, 2).
+    for g in (empty_graph(n), complete_graph(n)):
+        result = min_interval_supergraph(g)
+        assert (result.edge_count, result.ordering.sequence()) == _python_min_supergraph(g)
+
+
+def test_supergraph_dp_values_fit_below_unfilled():
+    # f(S) + |Gamma(S)| is at most C(n, 2) + n; raising the vertex cap
+    # past what int16 holds must fail here rather than overflow the DP.
+    cap = PROFILE_MAX_VERTICES
+    assert comb(cap, 2) + cap < _UNFILLED
 
 
 @pytest.mark.parametrize("n", range(11))
