@@ -70,12 +70,19 @@ def _select_bounds(selection) -> tuple[str, ...]:
     return tokens
 
 
+def _check_t_max(t_max: int) -> None:
+    if t_max < 1:
+        raise ValueError(f"t_max must be at least 1, got {t_max}")
+
+
 def run_bounds(g: Graph, selection, t_max: int = 2) -> list[BoundReport]:
     """Evaluate the selected bounds, one report each, never skipping.
 
     A bound that runs out of budget is reported inapplicable with
-    reason "budget_exceeded" rather than raising.
+    reason "budget_exceeded" rather than raising.  t_max below 1 is a
+    bad argument whichever bounds are selected.
     """
+    _check_t_max(t_max)
     reports = []
     for tok in _select_bounds(selection):
         try:
@@ -174,6 +181,7 @@ class ExperimentConfig:
         object.__setattr__(self, "bounds", _select_bounds(self.bounds))
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
+        _check_t_max(self.t_max)
         want_p = self.model.endswith("gnp")
         want_m = self.model.endswith("gnm")
         want_k = self.model == "regular"
@@ -215,6 +223,8 @@ def parse_fraction(text: str) -> Fraction:
 
 _CONFIG_KEYS = ("model", "n", "p", "m", "k", "seeds", "master_seed",
                 "bounds", "format", "out", "t_max", "record_runtime")
+_FLAG_VALUES = {"0": False, "false": False, "no": False,
+                "1": True, "true": True, "yes": True}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -241,6 +251,10 @@ def parse_config(text: str) -> ExperimentConfig:
     def int_list(text: str) -> tuple[int, ...]:
         return tuple(int(tok.strip()) for tok in text.split(","))
 
+    flag = raw.get("record_runtime", "0")
+    if flag not in _FLAG_VALUES:
+        raise ValueError(f"record_runtime must be one of {'/'.join(_FLAG_VALUES)}, got {flag!r}")
+
     return ExperimentConfig(
         model=raw["model"],
         n_values=int_list(raw["n"]),
@@ -254,7 +268,7 @@ def parse_config(text: str) -> ExperimentConfig:
         fmt=raw.get("format", "csv"),
         out=raw.get("out"),
         t_max=int(raw.get("t_max", "2")),
-        record_runtime=raw.get("record_runtime", "0") in ("1", "true", "yes"),
+        record_runtime=_FLAG_VALUES[flag],
     )
 
 

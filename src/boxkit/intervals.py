@@ -257,54 +257,81 @@ def _coverage_catalog(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
     Built by a DP over placed sets rather than a scan of all n!
     orderings.  Placing x after the set P omits the non-edge {x, y}
     exactly when no vertex of N[y] lies in P, so the omitted mask grows
-    by a term that depends only on (P, x).  Each state (P, mask) keeps
-    its lexicographically first prefix, packed in base n with the first
-    vertex most significant so that integer order is lex order; any
-    later prefix reaching the same state has the same completions, so
-    every final mask keeps the first ordering that reaches it.  Cached
-    for the last graph only, so that boxicity_exact builds it once
-    across its calls to boxicity_le.
+    by term[P, x], a table over all 2^n placed sets built with one
+    array pass per y.  Each state (P, mask) keeps its lexicographically
+    first prefix, packed in base n with the first vertex most
+    significant so that integer order is lex order; any later prefix
+    reaching the same state has the same completions, so every final
+    mask keeps the first ordering that reaches it.
+
+    The DP is layered: each step places one more vertex in every state
+    at once with numpy.  States are held in ascending code order and
+    extended state-major with x ascending, so the candidate codes come
+    out ascending too; a stable sort on the (P, mask) key then puts the
+    smallest code first in each run of equal keys, and only that one is
+    kept, picked out by a boolean mask so that the kept states stay in
+    code order.  The maximal masks are peeled off the final layer in
+    order of decreasing popcount, then increasing mask: the head is
+    never contained in a later mask, so it is kept, and every mask it
+    contains is dropped.  Sets, masks and codes are int32 while C(n, 2) mask bits
+    and n^n codes fit, which covers BOX_MAX_VERTICES, and int64 above;
+    the (P, mask) key is always int64.  Cached for the last graph only,
+    so that boxicity_exact builds it once across its calls to
+    boxicity_le.
     """
     n = g.n
-    closed = [g.rows[v] | (1 << v) for v in range(n)]
-    pair_bit = [[0] * n for _ in range(n)]
-    for i, (u, v) in enumerate(_nonedge_list(g)):
-        pair_bit[u][v] = pair_bit[v][u] = 1 << i
-    # placed set -> {omitted mask: first prefix reaching it, packed}
-    layer: dict[int, dict[int, int]] = {0: {0: 0}}
+    nonedges = _nonedge_list(g)
+    width = len(nonedges)
+    if n + width > 63:
+        raise ValueError(f"coverage catalog keys need n + nonedges <= 63, got {n + width}")
+    fits_int32 = n * (n - 1) // 2 < 31 and n**n < 1 << 31
+    dtype = np.int32 if fits_int32 else np.int64
+    vertex_bits = (1 << np.arange(n)).astype(dtype)
+    pair = np.zeros((n, n), dtype=dtype)
+    for i, (u, v) in enumerate(nonedges):
+        pair[u, v] = pair[v, u] = 1 << i
+    every_set = np.arange(1 << n, dtype=dtype)
+    term = np.zeros((1 << n, n), dtype=dtype)
+    for y in range(n):
+        term[(every_set & (g.rows[y] | 1 << y)) == 0] |= pair[:, y]
+    del every_set
+    placed = np.zeros(1, dtype=dtype)
+    mask = np.zeros(1, dtype=dtype)
+    code = np.zeros(1, dtype=dtype)
     for _ in range(n):
-        nxt: dict[int, dict[int, int]] = {}
-        # Popping frees each set's states as soon as they are extended.
-        while layer:
-            placed, states = layer.popitem()
-            untouched = [y for y in range(n) if not closed[y] & placed]
-            for x in range(n):
-                if placed >> x & 1:
-                    continue
-                term = 0
-                for y in untouched:
-                    term |= pair_bit[x][y]
-                bucket = nxt.setdefault(placed | 1 << x, {})
-                for mask, code in states.items():
-                    mask |= term
-                    code = code * n + x
-                    kept = bucket.get(mask)
-                    if kept is None or code < kept:
-                        bucket[mask] = code
-        layer = nxt
-    seen = {}
-    for mask, code in layer[full_mask(n)].items():
+        state, x = np.divmod(np.flatnonzero((placed[:, None] & vertex_bits) == 0), n)
+        x = x.astype(dtype)
+        before = placed[state]
+        placed = before | vertex_bits[x]
+        mask = mask[state] | term[before, x]
+        code = code[state] * n + x
+        del state, x, before
+        key = placed.astype(np.int64)
+        key <<= width
+        key |= mask
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.empty(len(key), dtype=bool)
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        kept = np.zeros(len(key), dtype=bool)
+        kept[order[first]] = True
+        del key, order, first
+        placed, mask, code = placed[kept], mask[kept], code[kept]
+        del kept
+    # bitwise_count is uint8, which would wrap under negation
+    rank = np.lexsort((mask, -np.bitwise_count(mask).astype(np.int8)))
+    mask, code = mask[rank], code[rank]
+    maximal: list[tuple[int, tuple[int, ...]]] = []
+    while len(mask):
+        head, packed = int(mask[0]), int(code[0])
         seq = []
         for _ in range(n):
-            code, v = divmod(code, n)
+            packed, v = divmod(packed, n)
             seq.append(v)
-        seen[mask] = tuple(reversed(seq))
-    items = sorted(seen.items(), key=lambda kv: (-popcount(kv[0]), kv[0]))
-    maximal: list[tuple[int, tuple[int, ...]]] = []
-    for mask, seq in items:
-        if any(mask | kept == kept for kept, _ in maximal):
-            continue
-        maximal.append((mask, seq))
+        maximal.append((head, tuple(reversed(seq))))
+        outside = (mask | head) != head
+        mask, code = mask[outside], code[outside]
     return tuple(maximal)
 
 

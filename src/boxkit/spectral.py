@@ -61,12 +61,13 @@ def symmetric_eigenvalues(matrix: np.ndarray) -> SpectralSummary:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for v, row in enumerate(g.rows):
-        for u in range(g.n):
-            if row >> u & 1:
-                a[v, u] = 1.0
-    return a
+    """0/1 float adjacency matrix: row v has a 1 in column u iff bit u
+    of g.rows[v] is set, unpacked from each row's little-endian bytes."""
+    width = (g.n + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in g.rows),
+                           dtype=np.uint8).reshape(g.n, width)
+    bits = np.unpackbits(packed, axis=1, count=g.n, bitorder="little")
+    return bits.astype(float)
 
 
 def adjacency_spectrum(g: Graph) -> SpectralSummary:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from boxkit import isoperimetry
+from boxkit import harness, isoperimetry
 from boxkit.cli import main
 from boxkit.edgelist import (
     format_edge_list,
@@ -254,6 +254,14 @@ def test_parse_config_rejections(text):
         parse_config(text)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("0", False), ("false", False), ("no", False),
+    ("1", True), ("true", True), ("yes", True),
+])
+def test_parse_config_record_runtime_flags(flag, value):
+    assert parse_config(GOOD_CONFIG + f"record_runtime={flag}\n").record_runtime is value
+
+
 def test_experiment_config_selection_matches_run_bounds():
     common = {"model": "gnp", "n_values": (6,), "seeds": 1, "master_seed": 0,
               "p_values": (Fraction(1, 2),)}
@@ -480,3 +488,35 @@ def test_cli_experiment_duplicate_bounds(tmp_path, capsys):
     assert main(["experiment", "--config", config_file, "--out", str(out)]) == 2
     assert "duplicate bound selection" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bounds", ["degree_ratio", "expansion"])
+@pytest.mark.parametrize("line, message", [
+    ("t_max=0", "t_max must be at least 1, got 0"),
+    ("t_max=-3", "t_max must be at least 1, got -3"),
+    ("record_runtime=maybe", "record_runtime must be one of 0/false/no/1/true/yes, got 'maybe'"),
+    ("record_runtime=Yes", "got 'Yes'"),
+])
+def test_cli_experiment_rejects_bad_settings_before_sampling(tmp_path, capsys, monkeypatch,
+                                                             bounds, line, message):
+    def no_sampling(spec):
+        raise AssertionError("sampled before the config was checked")
+
+    monkeypatch.setattr(harness, "sample", no_sampling)
+    config_file = _write(tmp_path / "sweep.cfg", GOOD_CONFIG.replace(
+        "bounds=strong_boundary,universal", f"bounds={bounds}") + line + "\n")
+    out = tmp_path / "rows.csv"
+    assert main(["experiment", "--config", config_file, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("methods", ["degree_ratio", "expansion", "all"])
+@pytest.mark.parametrize("t_max", ["0", "-1"])
+def test_cli_bound_rejects_t_max_below_one(tmp_path, capsys, methods, t_max):
+    graph_file = _write(tmp_path / "c4.edges", C4_TEXT)
+    code = main(["bound", "--input", graph_file, "--methods", methods, "--t-max", t_max])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: t_max must be at least 1, got {t_max}\n"

@@ -1,5 +1,6 @@
-"""The numpy supergraph DP, min-reach scan and isoperimetric profile
-against the loops and scans they replaced, kept here as oracles."""
+"""The numpy supergraph DP, min-reach scan, isoperimetric profile and
+adjacency matrix against the loops and scans they replaced, kept here as
+oracles."""
 
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -38,6 +39,7 @@ from boxkit.isoperimetry import (
     complement_profile,
     iso_profile,
 )
+from boxkit.spectral import adjacency_matrix
 
 
 def _python_min_supergraph(g):
@@ -253,3 +255,28 @@ def test_boxicity_exact_rejects_negative_cap():
     with pytest.raises(ValueError):
         boxicity_exact(complete_multipartite(1, 3), max_k=-1)
     assert boxicity_exact(complete_multipartite(1, 3), max_k=0).value == 0
+
+
+def _loop_adjacency_matrix(g):
+    a = np.zeros((g.n, g.n))
+    for v, row in enumerate(g.rows):
+        for u in range(g.n):
+            if row >> u & 1:
+                a[v, u] = 1.0
+    return a
+
+
+@pytest.mark.parametrize("g", [
+    complete_graph(1),
+    complement_cycle(7),
+    sample(RandomModelSpec("gnp", 8, 1, p=Fraction(1, 2))),
+    sample(RandomModelSpec("gnp", 9, 2, p=Fraction(1, 2))),
+    sample(RandomModelSpec("regular", 200, 1, k=3)),
+    sample(RandomModelSpec("regular", 200, 2, k=5)),
+    sample(RandomModelSpec("regular", 200, 3, k=8)),
+], ids=["n1", "co-C7", "gnp8", "gnp9", "3-reg200", "5-reg200", "8-reg200"])
+def test_adjacency_matrix_matches_loop(g):
+    # n = 7 and 9 leave a partial last byte in each packed row
+    a = adjacency_matrix(g)
+    assert a.dtype == np.float64 and a.flags.c_contiguous
+    assert np.array_equal(a, _loop_adjacency_matrix(g))
