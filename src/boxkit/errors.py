@@ -1,4 +1,4 @@
-"""Exception types and the subset budget shared across the package."""
+"""Exception types and the subset budgets shared across the package."""
 
 from math import comb
 
@@ -18,3 +18,14 @@ def check_subset_budget(n: int, k: int) -> None:
     """Refuse a scan over all k-subsets of n items above SUBSET_BUDGET."""
     if comb(n, k) > SUBSET_BUDGET:
         raise BudgetExceededError(f"C({n},{k}) subsets exceed {SUBSET_BUDGET}")
+
+
+PROFILE_MAX_VERTICES = 24
+
+
+def check_table_budget(n: int) -> None:
+    """Refuse a table over all 2^n vertex subsets above PROFILE_MAX_VERTICES."""
+    if n > PROFILE_MAX_VERTICES:
+        raise BudgetExceededError(
+            f"subset table needs 2^{n} entries; capped at n <= {PROFILE_MAX_VERTICES}"
+        )

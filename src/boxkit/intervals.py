@@ -12,7 +12,9 @@ interval supergraphs of g whose right endpoints induce the vertex order
 eta, there is a unique minimal one, I_eta, and it is contained in every
 other.  So only canonical supergraphs, one per ordering, ever need to be
 intersected, and minimizing edges of an interval supergraph becomes a
-minimum over orderings that a subset DP solves exactly.
+minimum over orderings that a subset DP solves exactly.  The DP indexes
+its table by the subsets of two halves of the vertex set, rows by one
+half and columns by the other, so that each step reads whole rows.
 """
 
 from __future__ import annotations
@@ -20,14 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import pairwise
 from typing import NamedTuple
 
 import numpy as np
 
 from .bitset import bits, full_mask, popcount
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, check_table_budget
 from .graphs import Graph, is_complete
-from .isoperimetry import boundary_table
+from .isoperimetry import _fill_layers, _layers
 
 BOX_MAX_VERTICES = 8
 BOX_SEARCH_NODE_BUDGET = 10**6
@@ -156,6 +159,38 @@ class MinSupergraph(NamedTuple):
 _UNFILLED = np.iinfo(np.int16).max
 
 
+class _HalfLayout(NamedTuple):
+    """The subsets of one half of the vertices in the _layers order.
+
+    position[mask] is the index of a subset in the layout, and
+    preds[k][j, i] the index of X minus its j-th smallest member, for the
+    i-th subset X of layer k.
+    """
+
+    starts: tuple[int, ...]
+    position: np.ndarray
+    preds: tuple[np.ndarray, ...]
+
+
+def _half_layout(m: int) -> _HalfLayout:
+    masks, starts = _layers(m)
+    position = np.empty(1 << m, dtype=np.intp)
+    position[masks] = np.arange(1 << m)
+    preds = []
+    for k, (a, b) in enumerate(pairwise(starts)):
+        layer = masks[a:b]
+        _, member = np.nonzero(layer[:, None] >> np.arange(m) & 1)
+        preds.append(position[layer ^ 1 << member.reshape(b - a, k).T])
+    return _HalfLayout(starts, position, tuple(preds))
+
+
+@lru_cache(maxsize=1)
+def _split_layouts(n: int) -> tuple[_HalfLayout, _HalfLayout]:
+    """The layouts of the low vertices 0 .. n//2 - 1 and of the rest."""
+    h = n // 2
+    return _half_layout(h), _half_layout(n - h)
+
+
 def min_interval_supergraph(g: Graph) -> MinSupergraph:
     """Fewest edges over all interval supergraphs of g.
 
@@ -164,50 +199,70 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
     orderings is f(V) with f(S) = |Gamma(S)| + min over v in S of
     f(S - v).
 
-    The DP fills f one popcount layer at a time, each layer a contiguous
-    slice of the boundary table.  f(S) is stored at the table's address
-    for S, which the table walks in descending order within a layer, so
-    every layer reads and writes f in address order.  f is int16: each
-    value is an edge count, at most C(n, 2) under PROFILE_MAX_VERTICES.
-    Every entry but f(0) starts at the int16 maximum, so for v outside S
-    the read f(S - v) lands in the unfilled layer above and never wins
-    the minimum; no membership mask is needed.
+    The vertices are split into the low half L = 0 .. n//2 - 1 and the
+    high half H.  f is an int16 table with one row per subset of H and
+    one column per subset of L, each half in the _layers order, so that
+    removing a high vertex moves to a row of the previous row layer and
+    removing a low vertex to a column of the previous column layer.  The
+    rows are filled one layer at a time.  Each high vertex of a row
+    layer costs one gather of whole rows from the layer before; the
+    block is then transposed, and each column layer takes the minimum
+    over its low vertices with one gather of whole (transposed) rows
+    from the column layer before.  |Gamma(S)| = |N[S]| - |S|, and
+    |N[S]| = |N[S & H] | N[S & L]| is read from one closed-neighbourhood
+    union table per half.  The table holds f(S) + |S|(|S| + 1)/2, which
+    makes the recursion f'(S) = |N[S]| + min over v in S of f'(S - v);
+    all the S - v have one size, so the minimizing v do not change.
+    The values are at most C(n, 2) + n(n + 1)/2 = n^2, which int16 holds
+    up to PROFILE_MAX_VERTICES.  The minimum over high vertices starts at
+    _UNFILLED, the int16 maximum, so that a set with no high vertex
+    takes its minimum from its low vertices alone.
 
-    No choice table is kept.  The ordering is walked back from f: from
-    the full set, each step removes the smallest v in S whose f(S - v)
-    is least, so ties break toward the smallest vertex and the returned
-    ordering is deterministic.
+    No choice table is kept.  The ordering is walked back from the
+    table: from the full set, each step removes the smallest v in S
+    whose f(S - v) is least, so ties break toward the smallest vertex
+    and the returned ordering is deterministic.
     """
     n = g.n
-    addresses, vertex_bits, starts, sizes = boundary_table(g)
-    size = 1 << n
-    f = np.full(size, _UNFILLED, dtype=np.int16)
-    f[0] = 0
-    width = max(b - a for a, b in zip(starts, starts[1:]))
-    nbr_buf = np.empty(width, dtype=np.intp)
-    val_buf = np.empty(width, dtype=np.int16)
-    for k in range(1, n + 1):
-        a, b = starts[k], starts[k + 1]
-        # intp, so that the gathers and scatters below need no cast
-        layer = addresses[a:b].astype(np.intp)
-        count = b - a
-        nbr, val = nbr_buf[:count], val_buf[:count]
-        best = np.full(count, _UNFILLED, dtype=np.int16)
-        for v in range(n):
-            np.bitwise_xor(layer, vertex_bits[v], out=nbr)
-            np.take(f, nbr, out=val)
-            np.minimum(best, val, out=best)
-        best += sizes[a:b]
-        f[layer] = best
+    check_table_budget(n)
+    h = n // 2
+    low, high = _split_layouts(n)
+    closed = [row | 1 << v for v, row in enumerate(g.rows)]
+    reach_low = _fill_layers(np.uint32(0), closed[:h], np.bitwise_or)
+    reach_high = _fill_layers(np.uint32(0), closed[h:], np.bitwise_or)
+    f = np.empty((len(reach_high), len(reach_low)), dtype=np.int16)
+    for a, (r0, r1) in enumerate(pairwise(high.starts)):
+        best = np.full((r1 - r0, len(reach_low)), _UNFILLED, dtype=np.int16)
+        if a == 0:
+            best[0, 0] = 0  # f of the empty set
+        rows = np.empty_like(best)
+        for pred in high.preds[a]:
+            np.take(f, pred, axis=0, out=rows)
+            np.minimum(best, rows, out=best)
+        del rows
+        block = np.ascontiguousarray(best.T)
+        del best
+        # |N[S]| for every S in this row layer, one row per column
+        union = np.bitwise_count(reach_low[:, None] | reach_high[r0:r1])
+        for b, (c0, c1) in enumerate(pairwise(low.starts)):
+            part = block[c0:c1]
+            if b:
+                np.minimum(part, np.take(block, low.preds[b], axis=0).min(axis=0), out=part)
+            part += union[c0:c1]
+        f[r0:r1] = block.T
+    low_mask = (1 << h) - 1
+
+    def value(s: int) -> int:
+        return f[high.position[s >> h], low.position[s & low_mask]]
+
     seq_rev = []
-    s = size - 1
+    s = (1 << n) - 1
     while s:
-        v = min((v for v in range(n) if s & vertex_bits[v]),
-                key=lambda v: f[s ^ vertex_bits[v]])
+        v = min(bits(s), key=lambda v: value(s ^ 1 << v))
         seq_rev.append(v)
-        s ^= vertex_bits[v]
+        s ^= 1 << v
     ordering = Ordering.from_sequence(tuple(reversed(seq_rev)))
-    return MinSupergraph(int(f[size - 1]), ordering)
+    return MinSupergraph(int(f[-1, -1]) - n * (n + 1) // 2, ordering)
 
 
 @dataclass(frozen=True)

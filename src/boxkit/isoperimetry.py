@@ -19,10 +19,10 @@ its lexicographically smallest witness.  The layout follows the
 recursion L(lo, k) = ({lo} + L(lo + 1, k - 1)) ++ L(lo + 1, k), so a
 table with table[X] = table[X - lo] op row[lo] is filled in place one
 vertex at a time, from the last vertex to the first, with no sort and
-no gather.  _layers names each position's subset by its bit-reversed
-mask, the address at which the supergraph DP stores it.  boundary_table
-holds |Gamma(X)| in this layout, built once per graph; the DP and
-iso_profile read the same copy.
+no gather.  _layers names each position's subset by its mask.
+iso_profile builds the boundary and common-neighbourhood tables of one
+graph in this layout; the supergraph DP lays out each half of the
+vertex set the same way.
 """
 
 from __future__ import annotations
@@ -31,15 +31,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, pairwise
 from math import comb
-from typing import NamedTuple
 
 import numpy as np
 
 from .bitset import mask_of, popcount
-from .errors import BudgetExceededError, check_subset_budget
+from .errors import check_subset_budget, check_table_budget
 from .graphs import Graph, strong_vertex_boundary, vertex_boundary
-
-PROFILE_MAX_VERTICES = 24
 
 
 def _layer_starts(n: int) -> tuple[int, ...]:
@@ -70,25 +67,12 @@ def _fill_layers(first: np.generic, rows, op) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _layers(n: int) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
-    """Every subset of range(n), by size and then lexicographically, with
-    the bit of each vertex and the layer starts.
-
-    Each subset is stored as its bit-reversed mask (vertex x at bit
-    n - 1 - x).  Lexicographic order on sets is descending order on these
-    values, so an array addressed by them is swept in address order as a
-    layer is walked; the supergraph DP addresses its table this way.
-    int32 holds the addresses up to PROFILE_MAX_VERTICES at half the
-    memory of intp.
-    """
-    vertex_bits = tuple(1 << (n - 1 - v) for v in range(n))
-    addresses = _fill_layers(np.int32(0), vertex_bits, np.bitwise_or)
-    return addresses, vertex_bits, _layer_starts(n)
-
-
-def _unreverse(address: int, n: int) -> int:
-    """The subset mask of a bit-reversed n-bit address."""
-    return int(f"{address:0{n}b}"[::-1], 2)
+def _layers(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The mask of every subset of range(n), by size and then
+    lexicographically, with the layer starts.  int32 holds the masks up
+    to PROFILE_MAX_VERTICES at half the memory of intp."""
+    masks = _fill_layers(np.int32(0), tuple(1 << v for v in range(n)), np.bitwise_or)
+    return masks, _layer_starts(n)
 
 
 def _subset_table(rows: tuple[int, ...], n: int, use_and: bool) -> np.ndarray:
@@ -97,42 +81,6 @@ def _subset_table(rows: tuple[int, ...], n: int, use_and: bool) -> np.ndarray:
     if use_and:
         return _fill_layers(np.uint32((1 << n) - 1), rows, np.bitwise_and)
     return _fill_layers(np.uint32(0), rows, np.bitwise_or)
-
-
-class BoundaryTable(NamedTuple):
-    """|Gamma(X)| for every subset X of one graph, in the layer layout.
-
-    Layer k is [starts[k], starts[k+1]).  addresses[i] names the subset
-    at position i as the OR of vertex_bits[x] over its members x, and
-    sizes[i] is its boundary size.  Both arrays are read-only and shared
-    by every caller.
-    """
-
-    addresses: np.ndarray
-    vertex_bits: tuple[int, ...]
-    starts: tuple[int, ...]
-    sizes: np.ndarray
-
-
-@lru_cache(maxsize=1)
-def boundary_table(g: Graph) -> BoundaryTable:
-    """The boundary sizes of every subset, built once per graph.
-
-    Without self-loops, |Gamma(X)| = |N[x1] | ... | N[xk]| - |X| over
-    the closed neighbourhoods, and |X| is constant on each layer.
-    """
-    n = g.n
-    if n > PROFILE_MAX_VERTICES:
-        raise BudgetExceededError(
-            f"subset table needs 2^{n} entries; capped at n <= {PROFILE_MAX_VERTICES}"
-        )
-    addresses, vertex_bits, starts = _layers(n)
-    closed = tuple(row | 1 << v for v, row in enumerate(g.rows))
-    sizes = np.bitwise_count(_subset_table(closed, n, use_and=False))
-    for k, (a, b) in enumerate(pairwise(starts)):
-        sizes[a:b] -= np.uint8(k)
-    sizes.flags.writeable = False
-    return BoundaryTable(addresses, vertex_bits, starts, sizes)
 
 
 @dataclass(frozen=True)
@@ -154,22 +102,28 @@ class IsoProfile:
 def iso_profile(g: Graph) -> IsoProfile:
     """Both profiles from two subset tables, one extremum per layer.
 
-    Cached for the last graph only, so that the bounds evaluated on one
-    graph (strong_boundary, and family's generic value) share one sweep.
+    Without self-loops, |Gamma(X)| = |N[x1] | ... | N[xk]| - |X| over
+    the closed neighbourhoods, and |X| = k is constant on layer k, so
+    the union table's minima are the boundary minima plus k.  The common
+    neighbours of X all lie outside X.  Cached for the last graph only,
+    so that the bounds evaluated on one graph (strong_boundary, and
+    family's generic value) share one sweep.
     """
     n = g.n
-    addresses, _, starts, boundary = boundary_table(g)
-    # Without self-loops the common neighbours of X all lie outside X.
+    check_table_budget(n)
+    masks, starts = _layers(n)
+    closed = tuple(row | 1 << v for v, row in enumerate(g.rows))
+    union = np.bitwise_count(_subset_table(closed, n, use_and=False))
     strong = np.bitwise_count(_subset_table(g.rows, n, use_and=True))
     bv, cv, bw, cw = [], [], [], []
     for k in range(1, n):
         a, b = starts[k], starts[k + 1]
-        i = a + int(boundary[a:b].argmin())
+        i = a + int(union[a:b].argmin())
         j = a + int(strong[a:b].argmax())
-        bv.append(int(boundary[i]))
+        bv.append(int(union[i]) - k)
         cv.append(int(strong[j]))
-        bw.append(_unreverse(int(addresses[i]), n))
-        cw.append(_unreverse(int(addresses[j]), n))
+        bw.append(int(masks[i]))
+        cw.append(int(masks[j]))
     return IsoProfile(n, tuple(bv), tuple(cv), tuple(bw), tuple(cw))
 
 

@@ -7,7 +7,7 @@ cheap to evaluate; the structure around them is what is fuzzed.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from boxkit.cli import main
@@ -39,7 +39,7 @@ def edge_list_texts(draw):
 
 
 _n_list = st.lists(st.integers(1, 8).map(str), min_size=1, max_size=2).map(",".join)
-_valid_values = {
+_values = {
     "model": st.sampled_from(MODELS),
     "n": _n_list,
     "p": st.sampled_from(["1/2", "1/3,2/3", "0", "1"]),
@@ -51,8 +51,10 @@ _valid_values = {
                        unique=True).map(",".join),
     "format": st.sampled_from(["csv", "json"]),
     "out": st.just("result.csv"),
-    "t_max": st.integers(1, 3).map(str),
-    "record_runtime": st.sampled_from(["0", "1", "yes"]),
+    # t_max below 1 and record_runtime outside its six spellings are bad
+    # values that parse as well-formed ones; both must exit 2
+    "t_max": st.integers(-2, 3).map(str),
+    "record_runtime": st.sampled_from(["0", "1", "yes", "false", "maybe", "Yes", ""]),
 }
 _PARAMETER_KEY = {"gnp": "p", "bipartite_gnp": "p", "gnm": "m", "bipartite_gnm": "m",
                   "regular": "k"}
@@ -62,7 +64,7 @@ _PARAMETER_KEY = {"gnp": "p", "bipartite_gnp": "p", "gnm": "m", "bipartite_gnm":
 def config_texts(draw):
     """Mostly well-formed configs with some keys left out, repeated or
     given a junk value, and sometimes a junk line."""
-    model = draw(_valid_values["model"])
+    model = draw(_values["model"])
     keys = ["model", "n", "seeds", "master_seed", "bounds", "out", _PARAMETER_KEY[model]]
     keys += draw(st.lists(st.sampled_from(["format", "t_max", "record_runtime", "p", "k"]),
                           max_size=2, unique=True))
@@ -77,7 +79,7 @@ def config_texts(draw):
         elif key == "model":
             value = model
         else:
-            value = draw(_valid_values[key])
+            value = draw(_values[key])
         lines.append(f"{key}={value}")
     if draw(st.integers(0, 3)) == 0:
         lines.insert(draw(st.integers(0, len(lines))), draw(_tokens))
@@ -142,8 +144,14 @@ def test_cli_on_fuzzed_edge_lists_exits_0_2_or_3(tmp_path, text, methods, fmt, t
     assert _exit_code(argv) in (0, 2, 3)
 
 
+_SMALL_CONFIG = "model=gnp\nn=4\np=1/2\nseeds=1\nmaster_seed=1\nbounds=degree_ratio\nout=r.csv\n"
+
+
 @FUZZ
 @given(config_texts())
+@example(_SMALL_CONFIG + "t_max=0")
+@example(_SMALL_CONFIG + "record_runtime=maybe")
+@example(_SMALL_CONFIG + "record_runtime=")
 def test_cli_experiment_on_fuzzed_configs_exits_0_2_or_3(tmp_path, monkeypatch, text):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sweep.cfg").write_text(text, encoding="utf-8")

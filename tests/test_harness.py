@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from boxkit import harness, isoperimetry
+from boxkit import harness, intervals, isoperimetry
 from boxkit.cli import main
 from boxkit.edgelist import (
     format_edge_list,
@@ -152,14 +152,31 @@ def test_all_bounds_build_two_subset_tables_per_graph(monkeypatch):
 
     monkeypatch.setattr(isoperimetry, "_subset_table", counted)
     isoperimetry.iso_profile.cache_clear()
-    isoperimetry.boundary_table.cache_clear()
     for g in (complement_cycle(9), cycle(10), complement_cycle(9)):
         builds.clear()
         run_bounds(g, ["all"])
-        # the supergraph DP and the profile share g's union table; the
-        # profile adds its intersection table, and the complement's
-        # profile is derived, not swept
+        # the profile builds g's union and intersection tables, and the
+        # complement's profile is derived, not swept
         assert builds == [False, True]
+
+
+def test_min_supergraph_builds_no_full_subset_table(monkeypatch):
+    lengths = []
+    real = isoperimetry._fill_layers
+
+    def counted(first, rows, op):
+        lengths.append(len(rows))
+        return real(first, rows, op)
+
+    monkeypatch.setattr(isoperimetry, "_fill_layers", counted)
+    monkeypatch.setattr(intervals, "_fill_layers", counted)
+    intervals._split_layouts.cache_clear()
+    isoperimetry._layers.cache_clear()
+    for g in (complement_cycle(9), cycle(10)):
+        lengths.clear()
+        run_bounds(g, ["min_supergraph"])
+        # the two half layouts and the two half union tables
+        assert lengths and max(lengths) <= (g.n + 1) // 2
 
 
 def test_run_bounds_budget_becomes_inapplicable_row():

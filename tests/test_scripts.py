@@ -10,15 +10,36 @@ from boxkit.harness import ALL_BOUNDS
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_soundness_table_small():
+def _run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "soundness_table.py"), "--max-n", "5"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_soundness_table_small():
+    proc = _run_script("soundness_table.py", "--max-n", "5")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("graphs enumerated: ")
     rows = [line.split()[0] for line in lines[2:]]
     assert rows == list(ALL_BOUNDS)
+
+
+def test_dp_scale_small():
+    proc = _run_script("dp_scale.py", "--min-n", "9", "--max-n", "10")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["n", "methods", "wall_s", "peak_rss_mb"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[:2] for row in rows] == [["9", "min_supergraph"], ["9", "all"],
+                                         ["10", "min_supergraph"], ["10", "all"]]
+    assert all(float(row[2]) > 0 and float(row[3]) > 0 for row in rows)
+
+
+def test_dp_scale_rejects_sizes_past_the_cap():
+    proc = _run_script("dp_scale.py", "--max-n", "25")
+    assert proc.returncode == 2
+    assert "--max-n" in proc.stderr

@@ -1,9 +1,11 @@
 """The numpy supergraph DP, min-reach scan, isoperimetric profile and
 adjacency matrix against the loops and scans they replaced, kept here as
-oracles."""
+oracles.  The split-half supergraph DP is also checked against the
+layered numpy DP it replaced, which reaches sizes the plain loop does
+not."""
 
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, pairwise
 from math import comb
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 from boxkit import expansion_bounds
 from boxkit.bitset import mask_of, members, popcount
-from boxkit.errors import BudgetExceededError, check_subset_budget
+from boxkit.errors import PROFILE_MAX_VERTICES, BudgetExceededError, check_subset_budget
 from boxkit.expansion_bounds import _min_reach
 from boxkit.families import (
     RandomModelSpec,
@@ -30,12 +32,18 @@ from boxkit.graphs import (
     from_pair_mask,
     open_neighborhood,
 )
-from boxkit.intervals import _UNFILLED, boxicity_exact, min_interval_supergraph
+from boxkit.intervals import (
+    _UNFILLED,
+    Ordering,
+    boxicity_exact,
+    canonical_supergraph,
+    min_interval_supergraph,
+)
 from boxkit.isoperimetry import (
-    PROFILE_MAX_VERTICES,
     IsoProfile,
+    _fill_layers,
+    _layer_starts,
     _layers,
-    _unreverse,
     complement_profile,
     iso_profile,
 )
@@ -74,6 +82,38 @@ def _python_min_supergraph(g):
         seq_rev.append(v_bit.bit_length() - 1)
         s ^= v_bit
     return f[size - 1], tuple(reversed(seq_rev))
+
+
+def _layered_min_supergraph(g):
+    """The subset DP one popcount layer at a time over a 2^n table: each
+    layer is a slice of the size-then-lex layout, f(S) is stored at the
+    bit-reversed mask of S, and the layer's boundary sizes come from one
+    2^n union table in the same layout.  The ordering is walked back
+    from f, removing the smallest v whose f(S - v) is least."""
+    n = g.n
+    vertex_bits = tuple(1 << (n - 1 - v) for v in range(n))
+    addresses = _fill_layers(np.int32(0), vertex_bits, np.bitwise_or)
+    starts = _layer_starts(n)
+    closed = tuple(row | 1 << v for v, row in enumerate(g.rows))
+    sizes = np.bitwise_count(_fill_layers(np.uint32(0), closed, np.bitwise_or)).astype(np.int16)
+    f = np.full(1 << n, _UNFILLED, dtype=np.int16)
+    f[0] = 0
+    for k, (a, b) in enumerate(pairwise(starts)):
+        if k == 0:
+            continue
+        layer = addresses[a:b].astype(np.intp)
+        best = np.full(b - a, _UNFILLED, dtype=np.int16)
+        for bit in vertex_bits:
+            np.minimum(best, f[layer ^ bit], out=best)
+        f[layer] = best + sizes[a:b] - k
+    seq_rev = []
+    s = (1 << n) - 1
+    while s:
+        v = min((v for v in range(n) if s & vertex_bits[v]),
+                key=lambda v: f[s ^ vertex_bits[v]])
+        seq_rev.append(v)
+        s ^= vertex_bits[v]
+    return int(f[-1]), tuple(reversed(seq_rev))
 
 
 def _loop_min_reach(co, pool, target_side, j):
@@ -200,21 +240,65 @@ def test_supergraph_dp_matches_loop_on_empty_and_complete_graphs(n):
 
 
 def test_supergraph_dp_values_fit_below_unfilled():
-    # f(S) + |Gamma(S)| is at most C(n, 2) + n; raising the vertex cap
-    # past what int16 holds must fail here rather than overflow the DP.
+    # The DP stores f(S) + |S|(|S| + 1)/2, at most C(n, 2) + n(n + 1)/2 =
+    # n^2; raising the vertex cap past what int16 holds must fail here
+    # rather than overflow the DP.
     cap = PROFILE_MAX_VERTICES
-    assert comb(cap, 2) + cap < _UNFILLED
+    assert comb(cap, 2) + comb(cap + 1, 2) == cap * cap < _UNFILLED
 
 
 @pytest.mark.parametrize("n", range(11))
 def test_layers_follow_combinations_order(n):
-    addresses, _, starts = _layers(n)
+    addresses, starts = _layers(n)
     expected = [mask_of(c) for k in range(n + 1) for c in combinations(range(n), k)]
-    assert [_unreverse(int(a), n) for a in addresses] == expected
+    assert addresses.tolist() == expected
     assert starts == tuple(accumulate((comb(n, k) for k in range(n + 1)), initial=0))
-    # descending within each layer, so the DP sweeps its table in order
-    for a, b in zip(starts, starts[1:]):
-        assert (np.diff(addresses[a:b]) < 0).all()
+
+
+def _dp_result(g):
+    result = min_interval_supergraph(g)
+    return result.edge_count, result.ordering.sequence()
+
+
+def _bound_all_models(n):
+    """One draw of each random model the bound-all benchmark draws."""
+    half = Fraction(1, 2)
+    specs = [RandomModelSpec("gnp", n, 1, p=half), RandomModelSpec("gnp", n, 1, p=Fraction(3, 4)),
+             RandomModelSpec("gnm", n, 1, m=77), RandomModelSpec("regular", n, 1, k=3),
+             RandomModelSpec("regular", n, 1, k=13), RandomModelSpec("bipartite_gnp", n, 1, p=half)]
+    return [_as_graph(sample(spec)) for spec in specs]
+
+
+@pytest.mark.parametrize("g", _bound_all_models(18) + [
+    sample(RandomModelSpec("gnp", n, seed, p=p))
+    for n in (20, 22) for seed, p in ((1, Fraction(1, 2)), (2, Fraction(1, 4)))
+], ids=lambda g: f"n{g.n}m{g.edge_count}")
+def test_split_dp_matches_layered_dp(g):
+    assert _dp_result(g) == _layered_min_supergraph(g)
+
+
+def _odd_drawn(n):
+    specs = [RandomModelSpec("gnp", n, seed, p=p)
+             for seed in (1, 2) for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))]
+    specs += [RandomModelSpec("regular", n, 1, k=4), RandomModelSpec("gnm", n, 1, m=2 * n)]
+    return [_as_graph(sample(spec)) for spec in specs]
+
+
+@pytest.mark.parametrize("n", [9, 13, 17])
+def test_split_dp_matches_oracles_on_odd_sizes(n):
+    # the high half has one vertex more than the low half
+    for g in _odd_drawn(n):
+        expected = _layered_min_supergraph(g)
+        assert _dp_result(g) == expected
+        if n < 17:
+            assert expected == _python_min_supergraph(g)
+
+
+def test_split_dp_ordering_replays_at_the_vertex_cap():
+    g = sample(RandomModelSpec("gnp", PROFILE_MAX_VERTICES, 1, p=Fraction(1, 2)))
+    result = min_interval_supergraph(g)
+    assert canonical_supergraph(g, result.ordering).graph.edge_count == result.edge_count
+    assert result.ordering == Ordering.from_sequence(result.ordering.sequence())
 
 
 @pytest.mark.parametrize("g", [complement_cycle(14), empty_graph(9), complete_graph(9)]
