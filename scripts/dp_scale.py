@@ -1,14 +1,15 @@
-"""Wall time and peak memory of the supergraph DP path against vertex count.
+"""Wall time and peak memory of the 2^n subset scans against vertex count.
 
 For each n from --min-n to --max-n (at most PROFILE_MAX_VERTICES), the
 script draws gnp(n, 1/2) with seed 1 and runs ``boxkit bound --methods
-min_supergraph`` and then ``--methods all`` on it, each in a fresh
-Python process with BLAS held to one thread.  Each run prints one line:
-n, methods, the process's wall time and its peak resident set size,
-read from the resource usage of that child alone.  A run that exits
-non-zero makes the script exit 1.
+min_supergraph`` (the supergraph DP; only up to SUPERGRAPH_MAX_VERTICES),
+``--methods strong_boundary`` (the isoperimetric profile) and then
+``--methods all`` on it, each in a fresh Python process with BLAS held
+to one thread.  Each run prints one line: n, methods, the process's
+wall time and its peak resident set size, read from the resource usage
+of that child alone.  A run that exits non-zero makes the script exit 1.
 
-    PYTHONPATH=src python3 scripts/dp_scale.py [--min-n 18] [--max-n 24]
+    PYTHONPATH=src python3 scripts/dp_scale.py [--min-n 18] [--max-n 28]
 """
 
 import argparse
@@ -21,11 +22,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from boxkit.edgelist import write_edge_list
-from boxkit.errors import PROFILE_MAX_VERTICES
+from boxkit.errors import PROFILE_MAX_VERTICES, SUPERGRAPH_MAX_VERTICES
 from boxkit.families import RandomModelSpec, sample
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-METHODS = ("min_supergraph", "all")
+METHODS = ("min_supergraph", "strong_boundary", "all")
 
 
 def _child_env() -> dict:
@@ -65,6 +66,8 @@ def main(argv=None) -> int:
             path = os.path.join(tmp, f"gnp{n}.edges")
             write_edge_list(sample(RandomModelSpec("gnp", n, 1, p=Fraction(1, 2))), path)
             for methods in METHODS:
+                if methods == "min_supergraph" and n > SUPERGRAPH_MAX_VERTICES:
+                    continue
                 code, wall, rss = run_bound(path, methods)
                 print(f"{n:>3}  {methods:<15} {wall:>7.2f} {rss:>11.1f}"
                       + ("" if code == 0 else f"  exit {code}"), flush=True)

@@ -20,12 +20,14 @@ def check_subset_budget(n: int, k: int) -> None:
         raise BudgetExceededError(f"C({n},{k}) subsets exceed {SUBSET_BUDGET}")
 
 
-PROFILE_MAX_VERTICES = 24
+# The supergraph DP keeps an int16 table over all 2^n vertex subsets.
+SUPERGRAPH_MAX_VERTICES = 24
+# The isoperimetric profile scans all 2^n vertex subsets in bounded
+# chunks, so time alone sets its cap.
+PROFILE_MAX_VERTICES = 28
 
 
-def check_table_budget(n: int) -> None:
-    """Refuse a table over all 2^n vertex subsets above PROFILE_MAX_VERTICES."""
-    if n > PROFILE_MAX_VERTICES:
-        raise BudgetExceededError(
-            f"subset table needs 2^{n} entries; capped at n <= {PROFILE_MAX_VERTICES}"
-        )
+def check_vertex_cap(n: int, cap: int) -> None:
+    """Refuse a scan over all 2^n vertex subsets above cap vertices."""
+    if n > cap:
+        raise BudgetExceededError(f"a scan of all 2^{n} vertex subsets is capped at n <= {cap}")

@@ -28,9 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .bitset import bits, full_mask, popcount
-from .errors import BudgetExceededError, check_table_budget
+from .errors import SUPERGRAPH_MAX_VERTICES, BudgetExceededError, check_vertex_cap
 from .graphs import Graph, is_complete
-from .isoperimetry import _fill_layers, _layers
+from .isoperimetry import _half_tables, _split_layouts
 
 BOX_MAX_VERTICES = 8
 BOX_SEARCH_NODE_BUDGET = 10**6
@@ -159,38 +159,6 @@ class MinSupergraph(NamedTuple):
 _UNFILLED = np.iinfo(np.int16).max
 
 
-class _HalfLayout(NamedTuple):
-    """The subsets of one half of the vertices in the _layers order.
-
-    position[mask] is the index of a subset in the layout, and
-    preds[k][j, i] the index of X minus its j-th smallest member, for the
-    i-th subset X of layer k.
-    """
-
-    starts: tuple[int, ...]
-    position: np.ndarray
-    preds: tuple[np.ndarray, ...]
-
-
-def _half_layout(m: int) -> _HalfLayout:
-    masks, starts = _layers(m)
-    position = np.empty(1 << m, dtype=np.intp)
-    position[masks] = np.arange(1 << m)
-    preds = []
-    for k, (a, b) in enumerate(pairwise(starts)):
-        layer = masks[a:b]
-        _, member = np.nonzero(layer[:, None] >> np.arange(m) & 1)
-        preds.append(position[layer ^ 1 << member.reshape(b - a, k).T])
-    return _HalfLayout(starts, position, tuple(preds))
-
-
-@lru_cache(maxsize=1)
-def _split_layouts(n: int) -> tuple[_HalfLayout, _HalfLayout]:
-    """The layouts of the low vertices 0 .. n//2 - 1 and of the rest."""
-    h = n // 2
-    return _half_layout(h), _half_layout(n - h)
-
-
 def min_interval_supergraph(g: Graph) -> MinSupergraph:
     """Fewest edges over all interval supergraphs of g.
 
@@ -214,7 +182,7 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
     makes the recursion f'(S) = |N[S]| + min over v in S of f'(S - v);
     all the S - v have one size, so the minimizing v do not change.
     The values are at most C(n, 2) + n(n + 1)/2 = n^2, which int16 holds
-    up to PROFILE_MAX_VERTICES.  The minimum over high vertices starts at
+    up to SUPERGRAPH_MAX_VERTICES.  The minimum over high vertices starts at
     _UNFILLED, the int16 maximum, so that a set with no high vertex
     takes its minimum from its low vertices alone.
 
@@ -224,12 +192,11 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
     and the returned ordering is deterministic.
     """
     n = g.n
-    check_table_budget(n)
+    check_vertex_cap(n, SUPERGRAPH_MAX_VERTICES)
     h = n // 2
     low, high = _split_layouts(n)
     closed = [row | 1 << v for v, row in enumerate(g.rows)]
-    reach_low = _fill_layers(np.uint32(0), closed[:h], np.bitwise_or)
-    reach_high = _fill_layers(np.uint32(0), closed[h:], np.bitwise_or)
+    reach_low, reach_high = _half_tables(closed)
     f = np.empty((len(reach_high), len(reach_low)), dtype=np.int16)
     for a, (r0, r1) in enumerate(pairwise(high.starts)):
         best = np.full((r1 - r0, len(reach_low)), _UNFILLED, dtype=np.int16)

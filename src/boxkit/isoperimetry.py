@@ -12,17 +12,20 @@ values computed here.  The two are tied through complementation:
 so complement_profile derives the complement's profile, witnesses
 included, from the graph's own.
 
-Every table over the 2^n subsets shares one layout: subsets ordered by
-size, and lexicographically (as sorted member tuples) within each size.
-Layer k is one contiguous slice, and the first extremum of a slice is
-its lexicographically smallest witness.  The layout follows the
-recursion L(lo, k) = ({lo} + L(lo + 1, k - 1)) ++ L(lo + 1, k), so a
-table with table[X] = table[X - lo] op row[lo] is filled in place one
-vertex at a time, from the last vertex to the first, with no sort and
-no gather.  _layers names each position's subset by its mask.
-iso_profile builds the boundary and common-neighbourhood tables of one
-graph in this layout; the supergraph DP lays out each half of the
-vertex set the same way.
+No table here spans all 2^n subsets.  The vertices are split into the
+low half L = {0 .. n//2 - 1} and the high half H, and the subsets of
+each half share one layout: ordered by size, and lexicographically (as
+sorted member tuples) within each size, so that layer k is one
+contiguous slice.  The layout follows the recursion
+L(lo, k) = ({lo} + L(lo + 1, k - 1)) ++ L(lo + 1, k), which _fill_layers
+follows in place one vertex at a time, with no sort and no gather;
+_layers names each position's subset by its mask, and _split_layouts
+holds the two half layouts of one n, shared by the profile and the
+supergraph DP.  A set X is the pair (X & L, X & H), so any union of
+rows over X is the OR of two half-size table entries.  iso_profile
+scans those pairs a bounded chunk of high-half subsets at a time
+(_CHUNK_ENTRIES entries, whatever n is), and the DP keeps its table in
+the same (high half x low half) shape.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, pairwise
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
 from .bitset import mask_of, popcount
-from .errors import check_subset_budget, check_table_budget
+from .errors import PROFILE_MAX_VERTICES, check_subset_budget, check_vertex_cap
 from .graphs import Graph, strong_vertex_boundary, vertex_boundary
 
 
@@ -66,21 +70,126 @@ def _fill_layers(first: np.generic, rows, op) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=1)
 def _layers(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """The mask of every subset of range(n), by size and then
-    lexicographically, with the layer starts.  int32 holds the masks up
-    to PROFILE_MAX_VERTICES at half the memory of intp."""
+    lexicographically, with the layer starts (int32 masks)."""
     masks = _fill_layers(np.int32(0), tuple(1 << v for v in range(n)), np.bitwise_or)
     return masks, _layer_starts(n)
 
 
-def _subset_table(rows: tuple[int, ...], n: int, use_and: bool) -> np.ndarray:
-    """OR (or AND) of rows[x] over x in X, for every subset X, in the
-    _layers order.  uint32 holds the rows up to PROFILE_MAX_VERTICES."""
-    if use_and:
-        return _fill_layers(np.uint32((1 << n) - 1), rows, np.bitwise_and)
-    return _fill_layers(np.uint32(0), rows, np.bitwise_or)
+class _HalfLayout(NamedTuple):
+    """The subsets of one half of the vertices in the _layers order.
+
+    masks[i] is the i-th subset, as a mask over the half's own vertices,
+    position[mask] its index in the layout, and preds[k][j, i] the index
+    of X minus its j-th smallest member, for the i-th subset X of layer k.
+    """
+
+    starts: tuple[int, ...]
+    masks: np.ndarray
+    position: np.ndarray
+    preds: tuple[np.ndarray, ...]
+
+
+def _half_layout(m: int) -> _HalfLayout:
+    masks, starts = _layers(m)
+    position = np.empty(1 << m, dtype=np.intp)
+    position[masks] = np.arange(1 << m)
+    preds = []
+    for k, (a, b) in enumerate(pairwise(starts)):
+        layer = masks[a:b]
+        _, member = np.nonzero(layer[:, None] >> np.arange(m) & 1)
+        preds.append(position[layer ^ 1 << member.reshape(b - a, k).T])
+    return _HalfLayout(starts, masks, position, tuple(preds))
+
+
+@lru_cache(maxsize=1)
+def _split_layouts(n: int) -> tuple[_HalfLayout, _HalfLayout]:
+    """The layouts of the low vertices 0 .. n//2 - 1 and of the rest."""
+    h = n // 2
+    return _half_layout(h), _half_layout(n - h)
+
+
+def _half_tables(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The OR of rows[x] over x in X, for every subset X of the low half
+    and, separately, of the high half, each in its _layers order.  Each
+    half's table is filled in plain mask order, one doubling per vertex,
+    and then gathered into the layout.  uint32 holds rows of up to
+    PROFILE_MAX_VERTICES bits."""
+    tables = []
+    h = len(rows) // 2
+    for half, layout in zip((rows[:h], rows[h:]), _split_layouts(len(rows))):
+        table = np.zeros(1 << len(half), dtype=np.uint32)
+        for v, row in enumerate(half):
+            np.bitwise_or(table[:1 << v], np.uint32(row), out=table[1 << v:2 << v])
+        tables.append(table[layout.masks])
+    return tables[0], tables[1]
+
+
+# Entries of the largest temporary the profile allocates: the vertex
+# subsets are scanned a block of high-half rows at a time.
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _precedes(x: int, y: int) -> bool:
+    """Whether the set x comes before the set y of the same size, in
+    lexicographic order of sorted member tuples: the smallest vertex in
+    exactly one of them lies in x."""
+    diff = x ^ y
+    return bool(x & diff & -diff)
+
+
+def _least_unions(rows) -> list[tuple[int, int]]:
+    """For k = 1 .. n-1, the least |rows[x1] | ... | rows[xk]| over the
+    sets X of size k, with its lexicographically smallest witness.
+
+    Each union is the OR of one low-half and one high-half table entry.
+    The unions are computed a chunk of high rows at a time, as a (high
+    rows x low subsets) array of popcounts, and reduced over the rows to
+    one minimum per low subset.  X = XL + XH with |XH| = a and |XL| = b,
+    and every low vertex precedes every high one, so within one (a, b)
+    block lexicographic order is the order of XL, then of XH.  The
+    block's smallest witness is thus the first low subset whose column
+    reaches the block's minimum, with the first row of that column that
+    does.  A witness is sought only in a block that beats the best so
+    far, or ties it and starts before its witness; witnesses from
+    different blocks or chunks are compared only on ties.
+    """
+    n = len(rows)
+    h = n // 2
+    low, high = _split_layouts(n)
+    low_table, high_table = _half_tables(rows)
+    cols = len(low_table)
+    step = max(1, _CHUNK_ENTRIES // cols)
+    size = cols * min(step, len(high_table))
+    words = np.empty(size, dtype=np.uint32)
+    counts = np.empty(size, dtype=np.uint8)
+    col_starts = low.starts[:-1]
+    best: list[tuple[int, int] | None] = [None] * (n + 1)
+    for a, (r0, r1) in enumerate(pairwise(high.starts)):
+        for s0 in range(r0, r1, step):
+            width = min(step, r1 - s0)
+            block = words[:cols * width].reshape(width, cols)
+            np.bitwise_or(high_table[s0:s0 + width, None], low_table, out=block)
+            block = np.bitwise_count(block, out=counts[:cols * width].reshape(width, cols))
+            columns = block.min(axis=0)  # per low subset, over the rows
+            for b, value in enumerate(np.minimum.reduceat(columns, col_starts).tolist()):
+                k = a + b
+                if not 0 < k < n:
+                    continue
+                held = best[k]
+                c0, c1 = low.starts[b], low.starts[b + 1]
+                # skip a block that is worse, or ties but starts after the
+                # held witness (its first set is its smallest)
+                if held is not None and (value > held[0] or value == held[0] and _precedes(
+                        held[1], int(low.masks[c0]) | int(high.masks[s0]) << h)):
+                    continue
+                col = c0 + int(columns[c0:c1].argmin())
+                row = s0 + int(block[:, col].argmin())
+                mask = int(low.masks[col]) | int(high.masks[row]) << h
+                if held is None or value < held[0] or _precedes(mask, held[1]):
+                    best[k] = (value, mask)
+    return best[1:n]
 
 
 @dataclass(frozen=True)
@@ -100,31 +209,29 @@ class IsoProfile:
 
 @lru_cache(maxsize=1)
 def iso_profile(g: Graph) -> IsoProfile:
-    """Both profiles from two subset tables, one extremum per layer.
+    """Both profiles from two least-union scans.
 
     Without self-loops, |Gamma(X)| = |N[x1] | ... | N[xk]| - |X| over
-    the closed neighbourhoods, and |X| = k is constant on layer k, so
-    the union table's minima are the boundary minima plus k.  The common
-    neighbours of X all lie outside X.  Cached for the last graph only,
-    so that the bounds evaluated on one graph (strong_boundary, and
-    family's generic value) share one sweep.
+    the closed neighbourhoods, and |X| = k is fixed, so the least union
+    over |X| = k is the least boundary plus k.  The common neighbours of
+    X are the vertices outside V - N(x1) | ... | V - N(xk), the union of
+    the complement's closed neighbourhoods, so the largest strong
+    boundary is n minus that union's least size, with the same witness.
+    Cached for the last graph only, so that the bounds evaluated on one
+    graph (strong_boundary, and family's generic value) share one sweep.
     """
     n = g.n
-    check_table_budget(n)
-    masks, starts = _layers(n)
-    closed = tuple(row | 1 << v for v, row in enumerate(g.rows))
-    union = np.bitwise_count(_subset_table(closed, n, use_and=False))
-    strong = np.bitwise_count(_subset_table(g.rows, n, use_and=True))
-    bv, cv, bw, cw = [], [], [], []
-    for k in range(1, n):
-        a, b = starts[k], starts[k + 1]
-        i = a + int(union[a:b].argmin())
-        j = a + int(strong[a:b].argmax())
-        bv.append(int(union[i]) - k)
-        cv.append(int(strong[j]))
-        bw.append(int(masks[i]))
-        cw.append(int(masks[j]))
-    return IsoProfile(n, tuple(bv), tuple(cv), tuple(bw), tuple(cw))
+    check_vertex_cap(n, PROFILE_MAX_VERTICES)
+    full = (1 << n) - 1
+    union = _least_unions([row | 1 << v for v, row in enumerate(g.rows)])
+    missed = _least_unions([full & ~row for row in g.rows])
+    return IsoProfile(
+        n,
+        tuple(value - k for k, (value, _) in enumerate(union, 1)),
+        tuple(n - value for value, _ in missed),
+        tuple(mask for _, mask in union),
+        tuple(mask for _, mask in missed),
+    )
 
 
 def complement_profile(profile: IsoProfile) -> IsoProfile:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import PROFILE_MAX_VERTICES
 from .graphs import Graph, complement, degree_summary, is_complete, is_connected
 from .isoperimetry import complement_profile, iso_profile, max_strong_boundary
 from .intervals import min_interval_supergraph
@@ -137,7 +138,7 @@ def family_bound(n: int, family: str, k: int | None = None,
                 return not_applicable(FAMILY, "family_refuted")
             verified = True
     cert = {"family": family, "n": n, "k": k, "verified": verified}
-    if g is not None and g.n <= 24 and not is_complete(g):
+    if g is not None and g.n <= PROFILE_MAX_VERTICES and not is_complete(g):
         cert["generic_value"] = strong_boundary_bound(g).value
     return bound_report(FAMILY, value, cert, notes)
 

@@ -15,7 +15,7 @@ from boxkit.edgelist import (
     write_edge_list,
 )
 from boxkit.families import RandomModelSpec, complement_cycle, enumerate_graphs, sample
-from boxkit.graphs import complete_graph, cycle, empty_graph
+from boxkit.graphs import complement, complete_graph, cycle, empty_graph
 from boxkit.harness import (
     ALL_BOUNDS,
     BOUNDS,
@@ -126,57 +126,84 @@ def test_registry_is_the_bound_list():
         "universal", "spectral", "expansion")
 
 
+def _closed_rows(g):
+    return [row | 1 << v for v, row in enumerate(g.rows)]
+
+
 def test_family_reuses_the_strong_boundary_profile(monkeypatch):
     builds = []
-    real = isoperimetry._subset_table
+    real = isoperimetry._half_tables
 
-    def counted(*args, **kwargs):
-        builds.append(args)
-        return real(*args, **kwargs)
+    def counted(rows):
+        builds.append(rows)
+        return real(rows)
 
-    monkeypatch.setattr(isoperimetry, "_subset_table", counted)
+    monkeypatch.setattr(isoperimetry, "_half_tables", counted)
     isoperimetry.iso_profile.cache_clear()
     reports = run_bounds(complement_cycle(9), ["strong_boundary", "family"])
     assert reports[1].certificate["generic_value"] == reports[0].value
-    # one profile sweep builds one union and one intersection table
+    # one profile sweep builds the half tables of two unions
     assert len(builds) == 2
 
 
 def test_all_bounds_build_two_subset_tables_per_graph(monkeypatch):
     builds = []
-    real = isoperimetry._subset_table
+    real = isoperimetry._half_tables
 
-    def counted(rows, n, use_and):
-        builds.append(use_and)
-        return real(rows, n, use_and)
+    def counted(rows):
+        builds.append(rows)
+        return real(rows)
 
-    monkeypatch.setattr(isoperimetry, "_subset_table", counted)
+    monkeypatch.setattr(isoperimetry, "_half_tables", counted)
     isoperimetry.iso_profile.cache_clear()
     for g in (complement_cycle(9), cycle(10), complement_cycle(9)):
         builds.clear()
         run_bounds(g, ["all"])
-        # the profile builds g's union and intersection tables, and the
-        # complement's profile is derived, not swept
-        assert builds == [False, True]
+        # the profile builds the half tables of g's closed neighbourhoods
+        # and of its complement's, and the complement's profile is
+        # derived, not swept
+        assert builds == [_closed_rows(g), _closed_rows(complement(g))]
+
+
+def _record_subset_tables(monkeypatch, module):
+    """Record the entry count of every subset table built: the half
+    layouts' mask tables and the half OR tables that module builds."""
+    sizes = []
+    real_fill = isoperimetry._fill_layers
+    real_half = isoperimetry._half_tables
+
+    def fill(first, rows, op):
+        sizes.append(1 << len(rows))
+        return real_fill(first, rows, op)
+
+    def half(rows):
+        tables = real_half(rows)
+        sizes.extend(len(table) for table in tables)
+        return tables
+
+    monkeypatch.setattr(isoperimetry, "_fill_layers", fill)
+    monkeypatch.setattr(module, "_half_tables", half)
+    isoperimetry._split_layouts.cache_clear()
+    isoperimetry.iso_profile.cache_clear()
+    return sizes
 
 
 def test_min_supergraph_builds_no_full_subset_table(monkeypatch):
-    lengths = []
-    real = isoperimetry._fill_layers
-
-    def counted(first, rows, op):
-        lengths.append(len(rows))
-        return real(first, rows, op)
-
-    monkeypatch.setattr(isoperimetry, "_fill_layers", counted)
-    monkeypatch.setattr(intervals, "_fill_layers", counted)
-    intervals._split_layouts.cache_clear()
-    isoperimetry._layers.cache_clear()
+    sizes = _record_subset_tables(monkeypatch, intervals)
     for g in (complement_cycle(9), cycle(10)):
-        lengths.clear()
+        sizes.clear()
         run_bounds(g, ["min_supergraph"])
         # the two half layouts and the two half union tables
-        assert lengths and max(lengths) <= (g.n + 1) // 2
+        assert sizes and max(sizes) <= 1 << (g.n + 1) // 2
+
+
+def test_profile_builds_no_full_subset_table(monkeypatch):
+    sizes = _record_subset_tables(monkeypatch, isoperimetry)
+    for g in (complement_cycle(9), cycle(10)):
+        sizes.clear()
+        run_bounds(g, ["strong_boundary", "family"])
+        # the half layouts and the half tables of the two unions
+        assert sizes and max(sizes) <= 1 << (g.n + 1) // 2
 
 
 def test_run_bounds_budget_becomes_inapplicable_row():

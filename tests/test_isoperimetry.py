@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from boxkit.bitset import mask_of, popcount
-from boxkit.errors import BudgetExceededError
+from boxkit.errors import PROFILE_MAX_VERTICES, BudgetExceededError
 from boxkit.graphs import (
     complement,
     cycle,
@@ -105,6 +105,6 @@ def test_subset_size_validation():
 
 def test_budget_guards():
     with pytest.raises(BudgetExceededError):
-        iso_profile(empty_graph(25))
+        iso_profile(empty_graph(PROFILE_MAX_VERTICES + 1))
     with pytest.raises(BudgetExceededError):
         min_boundary(empty_graph(40), 20)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from boxkit.errors import PROFILE_MAX_VERTICES, SUPERGRAPH_MAX_VERTICES
 from boxkit.harness import ALL_BOUNDS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,12 +35,20 @@ def test_dp_scale_small():
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["n", "methods", "wall_s", "peak_rss_mb"]
     rows = [line.split() for line in lines[1:]]
-    assert [row[:2] for row in rows] == [["9", "min_supergraph"], ["9", "all"],
-                                         ["10", "min_supergraph"], ["10", "all"]]
+    assert [row[:2] for row in rows] == [[n, methods] for n in ("9", "10") for methods in
+                                         ("min_supergraph", "strong_boundary", "all")]
     assert all(float(row[2]) > 0 and float(row[3]) > 0 for row in rows)
 
 
+def test_dp_scale_runs_the_dp_only_up_to_its_cap():
+    n = str(SUPERGRAPH_MAX_VERTICES + 1)
+    proc = _run_script("dp_scale.py", "--min-n", n, "--max-n", n)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [row[:2] for row in rows] == [[n, "strong_boundary"], [n, "all"]]
+
+
 def test_dp_scale_rejects_sizes_past_the_cap():
-    proc = _run_script("dp_scale.py", "--max-n", "25")
+    proc = _run_script("dp_scale.py", "--max-n", str(PROFILE_MAX_VERTICES + 1))
     assert proc.returncode == 2
     assert "--max-n" in proc.stderr

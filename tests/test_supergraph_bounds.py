@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 
+from boxkit.errors import PROFILE_MAX_VERTICES
 from boxkit.graphs import (
     Graph,
     complement,
@@ -161,6 +162,15 @@ def test_family_certificate_carries_generic_value():
     report = family_bound(9, "complement_cycle", g=g)
     assert report.certificate["generic_value"] == Fraction(3)
     assert report.certificate["generic_value"] == strong_boundary_bound(g).value
+
+
+def test_family_generic_value_reaches_the_profile_cap():
+    cap = PROFILE_MAX_VERTICES
+    report = family_bound(cap, "complement_cycle", g=complement_cycle(cap))
+    assert report.certificate["generic_value"] == strong_boundary_bound(complement_cycle(cap)).value
+    past = family_bound(cap + 1, "complement_cycle", g=complement_cycle(cap + 1))
+    assert past.value == Fraction(cap + 1, 3)
+    assert "generic_value" not in past.certificate
 
 
 def test_detect_family_bound_cases():

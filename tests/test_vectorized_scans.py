@@ -13,7 +13,12 @@ import pytest
 
 from boxkit import expansion_bounds
 from boxkit.bitset import mask_of, members, popcount
-from boxkit.errors import PROFILE_MAX_VERTICES, BudgetExceededError, check_subset_budget
+from boxkit.errors import (
+    PROFILE_MAX_VERTICES,
+    SUPERGRAPH_MAX_VERTICES,
+    BudgetExceededError,
+    check_subset_budget,
+)
 from boxkit.expansion_bounds import _min_reach
 from boxkit.families import (
     RandomModelSpec,
@@ -39,6 +44,7 @@ from boxkit.intervals import (
     canonical_supergraph,
     min_interval_supergraph,
 )
+from boxkit import isoperimetry
 from boxkit.isoperimetry import (
     IsoProfile,
     _fill_layers,
@@ -166,6 +172,27 @@ def _scan_iso_profile(g):
     return IsoProfile(n, tuple(bv), tuple(cv), tuple(bw), tuple(cw))
 
 
+def _full_table_profile(g):
+    """Both profiles from two 2^n subset tables in the size-then-lex
+    layout, one union and one intersection, with one extremum per layer
+    slice: the first extremum of a slice is its smallest witness."""
+    n = g.n
+    masks, starts = _layers(n)
+    closed = tuple(row | 1 << v for v, row in enumerate(g.rows))
+    union = np.bitwise_count(_fill_layers(np.uint32(0), closed, np.bitwise_or))
+    strong = np.bitwise_count(_fill_layers(np.uint32((1 << n) - 1), g.rows, np.bitwise_and))
+    bv, cv, bw, cw = [], [], [], []
+    for k in range(1, n):
+        a, b = starts[k], starts[k + 1]
+        i = a + int(union[a:b].argmin())
+        j = a + int(strong[a:b].argmax())
+        bv.append(int(union[i]) - k)
+        cv.append(int(strong[j]))
+        bw.append(int(masks[i]))
+        cw.append(int(masks[j]))
+    return IsoProfile(n, tuple(bv), tuple(cv), tuple(bw), tuple(cw))
+
+
 def _as_graph(drawn):
     return drawn.to_graph() if isinstance(drawn, BipartiteGraph) else drawn
 
@@ -243,7 +270,7 @@ def test_supergraph_dp_values_fit_below_unfilled():
     # The DP stores f(S) + |S|(|S| + 1)/2, at most C(n, 2) + n(n + 1)/2 =
     # n^2; raising the vertex cap past what int16 holds must fail here
     # rather than overflow the DP.
-    cap = PROFILE_MAX_VERTICES
+    cap = SUPERGRAPH_MAX_VERTICES
     assert comb(cap, 2) + comb(cap + 1, 2) == cap * cap < _UNFILLED
 
 
@@ -295,7 +322,7 @@ def test_split_dp_matches_oracles_on_odd_sizes(n):
 
 
 def test_split_dp_ordering_replays_at_the_vertex_cap():
-    g = sample(RandomModelSpec("gnp", PROFILE_MAX_VERTICES, 1, p=Fraction(1, 2)))
+    g = sample(RandomModelSpec("gnp", SUPERGRAPH_MAX_VERTICES, 1, p=Fraction(1, 2)))
     result = min_interval_supergraph(g)
     assert canonical_supergraph(g, result.ordering).graph.edge_count == result.edge_count
     assert result.ordering == Ordering.from_sequence(result.ordering.sequence())
@@ -364,3 +391,63 @@ def test_adjacency_matrix_matches_loop(g):
     a = adjacency_matrix(g)
     assert a.dtype == np.float64 and a.flags.c_contiguous
     assert np.array_equal(a, _loop_adjacency_matrix(g))
+
+
+def _profile_drawn(n):
+    specs = [RandomModelSpec("gnp", n, seed, p=p)
+             for seed in (1, 2) for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))]
+    specs += [RandomModelSpec("gnm", n, seed, m=n * (n - 1) // 4) for seed in (1, 2)]
+    return [sample(spec) for spec in specs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 13, 17, 18, 20, 21, 22])
+def test_split_profile_matches_full_tables(n):
+    # n = 1 leaves the low half empty; odd n gives the high half one
+    # vertex more than the low half
+    for g in [empty_graph(n), complete_graph(n)] + _profile_drawn(n):
+        assert iso_profile(g) == _full_table_profile(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 19, 20])
+def test_split_profile_witnesses_on_empty_and_complete_graphs(n):
+    # every set of a size ties, so each witness is {0 .. k-1}
+    first = tuple((1 << k) - 1 for k in range(1, n))
+    for g in (empty_graph(n), complete_graph(n)):
+        profile = iso_profile(g)
+        assert profile.min_boundary_witness == profile.max_strong_boundary_witness == first
+
+
+@pytest.mark.parametrize("entries", [1, 3 << 5, 100])
+def test_split_profile_matches_full_tables_across_row_chunks(monkeypatch, entries):
+    # 1 puts one high row in each chunk, 3 << 5 three rows at n = 10 and
+    # 11 and one or two at n = 12, 100 a number that divides no layer
+    monkeypatch.setattr(isoperimetry, "_CHUNK_ENTRIES", entries)
+    for n in (10, 11, 12):
+        for g in [empty_graph(n), complete_graph(n)] + _profile_drawn(n):
+            isoperimetry.iso_profile.cache_clear()
+            assert iso_profile(g) == _full_table_profile(g)
+    isoperimetry.iso_profile.cache_clear()
+
+
+def test_profile_temporaries_stay_within_the_chunk(monkeypatch):
+    # numpy reports its buffers to tracemalloc; with 2^12-entry chunks
+    # the profile at n = 20 must never hold anything near a 2^20 table
+    import tracemalloc
+    monkeypatch.setattr(isoperimetry, "_CHUNK_ENTRIES", 1 << 12)
+    first, second = _profile_drawn(20)[:2]
+    iso_profile(first)  # builds the cached half layouts
+    tracemalloc.start()
+    try:
+        iso_profile(second)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    isoperimetry.iso_profile.cache_clear()
+    assert peak < 1 << 17
+
+
+def test_profile_tables_fit_their_dtypes():
+    # uint32 rows hold every vertex up to the cap, and one chunk holds at
+    # least one whole row of low-half subsets
+    assert PROFILE_MAX_VERTICES <= 32
+    assert 1 << PROFILE_MAX_VERTICES // 2 <= isoperimetry._CHUNK_ENTRIES
