@@ -9,16 +9,19 @@ would be a soundness bug; the script exits nonzero if one appears.
 import argparse
 import sys
 
-from boxkit.families import enumerate_graphs
+from boxkit.families import ENUMERATION_MAX_VERTICES, enumerate_graphs
 from boxkit.harness import ALL_BOUNDS, run_bounds
 from boxkit.intervals import boxicity_exact
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int, default=6,
-                        help="largest vertex count to enumerate (<= 6)")
+    parser.add_argument("--max-n", type=int, default=ENUMERATION_MAX_VERTICES,
+                        help="largest vertex count to enumerate "
+                             f"(1..{ENUMERATION_MAX_VERTICES})")
     args = parser.parse_args(argv)
+    if not 1 <= args.max_n <= ENUMERATION_MAX_VERTICES:
+        parser.error(f"--max-n must be in 1..{ENUMERATION_MAX_VERTICES}")
 
     stats = {name: {"applicable": 0, "tight": 0, "unsound": 0}
              for name in ALL_BOUNDS}

@@ -10,16 +10,11 @@ from .bitset import bits, full_mask, mask_of, members, popcount
 from .errors import BudgetExceededError
 from .expansion_bounds import (
     ExpansionCertificate,
-    ExpansionProfile,
     best_expansion_bound,
     bipartite_universal_bound,
     certify_expansion_bound,
     co_expansion_table,
     cross_expansion,
-    expansion_profile,
-    is_bipartite_t_expander,
-    is_t_expander,
-    t_expander_bound,
     universal_bound,
 )
 from .families import (
@@ -88,17 +83,12 @@ from .rng import Xoshiro256StarStar, derive_seed
 from .spectral import (
     SpectralSummary,
     adjacency_spectrum,
-    bipartite_spectral_bound,
-    gram_spectrum,
-    random_regular_reference,
     spectral_bound,
     strongly_regular_secondary,
-    tanner_bound,
 )
 from .supergraph_bounds import (
     degree_ratio_bound,
     detect_family_bound,
-    family_bound,
     min_supergraph_bound,
     regular_complement_bound,
     strong_boundary_bound,

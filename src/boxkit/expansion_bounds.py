@@ -34,7 +34,6 @@ from .graphs import (
     degree_summary,
     induced_subgraph,
     is_complete,
-    strong_vertex_boundary,
     universal_vertices,
 )
 from .reports import BoundReport, bound_report, not_applicable
@@ -42,7 +41,6 @@ from .reports import BoundReport, bound_report, not_applicable
 EXPANSION = "expansion"
 UNIVERSAL = "universal"
 BIPARTITE_UNIVERSAL = "bipartite_universal"
-T_EXPANDER = "t_expander"
 
 _WORD = (1 << 64) - 1
 
@@ -101,68 +99,6 @@ def _min_reach(co: Graph, pool: tuple[int, ...], target_side: int, j: int) -> in
         ends = np.cumsum(ends)
     return min(int(np.bitwise_count(reach[:ends[i]] | rows[j - 1 + i]).sum(axis=1).min())
                for i in range(slack + 1))
-
-
-@dataclass(frozen=True)
-class ExpansionProfile:
-    """Measured expansion data for one (s1, s2, t) instantiation."""
-
-    s1: int
-    s2: int
-    t: int
-    beta_t: Fraction
-    m_table: tuple[int, ...]
-
-    def alpha(self, j: int) -> Fraction:
-        """Co-expansion rate m_j / j; infinite demand never measured, so
-        j must be within the table."""
-        if not 1 <= j <= len(self.m_table):
-            raise ValueError(f"alpha({j}) outside the measured table")
-        return Fraction(self.m_table[j - 1], j)
-
-
-def expansion_profile(g: Graph, s1: int, s2: int, t: int,
-                      j_max: int | None = None) -> ExpansionProfile:
-    if j_max is None:
-        j_max = popcount(s2)
-    return ExpansionProfile(
-        s1=s1,
-        s2=s2,
-        t=t,
-        beta_t=cross_expansion(g, s1, s2, t),
-        m_table=co_expansion_table(g, s2, s1, j_max),
-    )
-
-
-def is_t_expander(g: Graph, t: int) -> bool:
-    """True when the complement has no complete bipartite t-by-t
-    subgraph, i.e. no t vertices share t common complement-neighbors."""
-    if t < 1:
-        raise ValueError("t must be positive")
-    if 2 * t > g.n:
-        return True
-    check_subset_budget(g.n, t)
-    co = complement(g)
-    for combo in combinations(range(g.n), t):
-        if popcount(strong_vertex_boundary(co, mask_of(combo))) >= t:
-            return False
-    return True
-
-
-def is_bipartite_t_expander(gb: BipartiteGraph, t: int) -> bool:
-    """True when every t vertices of side A leave fewer than t vertices
-    of side B with no edge into them."""
-    if not 1 <= t <= gb.na:
-        raise ValueError(f"t = {t} outside 1..{gb.na}")
-    check_subset_budget(gb.na, t)
-    full_b = full_mask(gb.nb)
-    for combo in combinations(range(gb.na), t):
-        reached = 0
-        for a in combo:
-            reached |= gb.rows[a]
-        if popcount(full_b & ~reached) >= t:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -271,24 +207,6 @@ def bipartite_universal_bound(gb: BipartiteGraph) -> BoundReport:
     value = Fraction(numerator, 2 * (gb.nb - delta_a))
     return bound_report(BIPARTITE_UNIVERSAL, value,
                         {"u_b": u_b, "min_degree_a": delta_a})
-
-
-def t_expander_bound(g: Graph, t: int) -> BoundReport:
-    """n (n - max_degree - 1) / (2 (t-1) ((n-max_degree-1) + (n-min_degree-1)))
-    whenever the graph is a t-expander; n / (4(t-1)) in the regular case.
-    """
-    if t < 2:
-        return not_applicable(T_EXPANDER, "t_must_exceed_1")
-    summary = degree_summary(g)
-    if summary.max_degree == g.n - 1:
-        return not_applicable(T_EXPANDER, "has_universal_vertex")
-    if not is_t_expander(g, t):
-        return not_applicable(T_EXPANDER, "not_t_expander")
-    hi_slack = g.n - summary.max_degree - 1
-    lo_slack = g.n - summary.min_degree - 1
-    value = Fraction(g.n * hi_slack, 2 * (t - 1) * (hi_slack + lo_slack))
-    cert = {"t": t, "min_degree": summary.min_degree, "max_degree": summary.max_degree}
-    return bound_report(T_EXPANDER, value, cert)
 
 
 def _strip_universal(g: Graph) -> tuple[Graph, tuple[int, ...]] | None:

@@ -20,11 +20,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import BipartiteGraph, Graph, degree_summary, is_complete, is_connected
+from .graphs import Graph, degree_summary, is_complete, is_connected
 from .reports import BoundReport, bound_report, not_applicable
 
 SPECTRAL = "spectral"
-BIPARTITE_SPECTRAL = "bipartite_spectral"
 
 # Residual any reported spectrum must meet, and the magnitude below which
 # an eigenvalue is treated as exactly zero (rejecting the bound rather
@@ -72,7 +71,7 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 def adjacency_spectrum(g: Graph) -> SpectralSummary:
     """Adjacency eigenvalues; for regular graphs also the second-largest
-    magnitude, the quantity the expansion bounds consume."""
+    magnitude, the quantity spectral_bound consumes."""
     summary = symmetric_eigenvalues(adjacency_matrix(g))
     degrees = degree_summary(g)
     if not degrees.is_regular:
@@ -123,92 +122,3 @@ def strongly_regular_secondary(k: int, a: int, c: int) -> float:
         raise ValueError(f"complex secondary eigenvalues for {(k, a, c)}")
     root = math.sqrt(float(disc))
     return max(abs(-float(half_b) + root), abs(-float(half_b) - root))
-
-
-def gram_spectrum(gb: BipartiteGraph) -> SpectralSummary:
-    """Eigenvalues of M M^T for the biadjacency matrix M.
-
-    For a k-regular bipartite graph the largest is k^2; the second
-    largest plays the role lambda^2 plays in the general case.
-    """
-    m = np.zeros((gb.na, gb.nb))
-    for a, row in enumerate(gb.rows):
-        for b in range(gb.nb):
-            if row >> b & 1:
-                m[a, b] = 1.0
-    return symmetric_eigenvalues(m @ m.T)
-
-
-def _bipartite_regular_degree(gb: BipartiteGraph) -> int | None:
-    row_degs = {r.bit_count() for r in gb.rows}
-    col_degs = {gb.column(b).bit_count() for b in range(gb.nb)}
-    if gb.na == gb.nb and len(row_degs) == 1 and row_degs == col_degs:
-        return row_degs.pop()
-    return None
-
-
-def tanner_bound(g: Graph | BipartiteGraph, x_size: int) -> Fraction:
-    """Guaranteed open-neighborhood size of any x_size-subset.
-
-    Regular graphs:      k^2 t / (lam^2 + (k^2 - lam^2) t / n)
-    Regular bipartite,
-    subsets of side A:   k^2 t / (lam' + (k^2 - lam') 2t / n)
-
-    with n the total vertex count, lam the second-largest adjacency
-    eigenvalue magnitude and lam' the second-largest eigenvalue of the
-    biadjacency Gram matrix.
-    """
-    if isinstance(g, BipartiteGraph):
-        k = _bipartite_regular_degree(g)
-        if not k:
-            raise ValueError("bipartite form needs a balanced regular bipartite graph")
-        if g.na < 2:
-            raise ValueError("bipartite form needs at least two vertices per side")
-        if not 1 <= x_size <= g.na:
-            raise ValueError(f"subset size {x_size} outside 1..{g.na}")
-        lam_prime = Fraction(gram_spectrum(g).eigenvalues[1])
-        n_total = g.na + g.nb
-        denom = lam_prime + (k * k - lam_prime) * Fraction(2 * x_size, n_total)
-        return Fraction(k * k * x_size) / denom
-    summary = degree_summary(g)
-    if not summary.is_regular or summary.min_degree == 0:
-        raise ValueError("expansion estimate needs a regular graph with edges")
-    if not 1 <= x_size <= g.n:
-        raise ValueError(f"subset size {x_size} outside 1..{g.n}")
-    spectrum = adjacency_spectrum(g)
-    lam_sq = Fraction(spectrum.second_largest_abs) ** 2
-    k = summary.min_degree
-    denom = lam_sq + (k * k - lam_sq) * Fraction(x_size, g.n)
-    return Fraction(k * k * x_size) / denom
-
-
-def bipartite_spectral_bound(gb: BipartiteGraph) -> BoundReport:
-    """k / (4 sqrt(lam')) for balanced regular bipartite graphs.
-
-    Stated here as a lower bound; the matching upper bound that would
-    make it tight is not certified by this package.
-    """
-    k = _bipartite_regular_degree(gb)
-    if not k:
-        return not_applicable(BIPARTITE_SPECTRAL, "not_regular_bipartite")
-    if gb.na < 2:
-        return not_applicable(BIPARTITE_SPECTRAL, "side_too_small")
-    spectrum = gram_spectrum(gb)
-    lam_prime = spectrum.eigenvalues[1]
-    if lam_prime < EIGENVALUE_ZERO_TOL:
-        return not_applicable(BIPARTITE_SPECTRAL, "second_gram_eigenvalue_zero")
-    value = Fraction(k) / (4 * Fraction(math.sqrt(lam_prime)))
-    cert = {"degree": k, "lambda_prime": lam_prime, "residual": spectrum.residual}
-    return bound_report(BIPARTITE_SPECTRAL, value, cert,
-                        notes=("lower bound only; tightness not certified",))
-
-
-def random_regular_reference(n: int, k: int) -> Fraction:
-    """Advisory curve: the spectral bound evaluated at lam = 2 sqrt(k-1),
-    the almost-sure second eigenvalue scale of random k-regular graphs.
-    Not a certified bound for any particular graph.
-    """
-    if k < 2 or n <= k + 1:
-        raise ValueError("reference curve needs k >= 2 and n > k + 1")
-    ratio = Fraction(k * k) / Fraction(4 * (k - 1))
-    return _growth_factor(ratio) * Fraction(n - k - 1, 2 * n)

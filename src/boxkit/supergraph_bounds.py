@@ -13,7 +13,8 @@ weaker but cheaper-to-specialize
     boxicity(g) >= nonedges(g) / sum_k max_strong_boundary(k, complement(g)).
 
 Closed forms for particular families (regular complements, complements
-of sparse cycles, and so on) are instances of the second inequality.
+of cycles, regular square-free complements) are instances of the second
+inequality.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ STRONG_BOUNDARY = "strong_boundary"
 REGULAR_COMPLEMENT = "regular_complement"
 FAMILY = "family"
 DEGREE_RATIO = "degree_ratio"
-
-FAMILY_KINDS = ("coplanar", "c4free", "complement_cycle")
 
 
 def min_supergraph_bound(g: Graph) -> BoundReport:
@@ -63,102 +62,50 @@ def strong_boundary_bound(g: Graph) -> BoundReport:
     return bound_report(STRONG_BOUNDARY, value, cert)
 
 
-def regular_complement_bound(n: int, k: int, g: Graph | None = None) -> BoundReport:
-    """n / 2k for graphs whose complement is k-regular.
-
-    When the graph is supplied, the degree condition is checked instead
-    of trusted.
-    """
+def regular_complement_bound(n: int, k: int, g: Graph) -> BoundReport:
+    """n / 2k for graphs whose complement is k-regular, checked on g."""
     if n < 1 or k < 1:
         return not_applicable(REGULAR_COMPLEMENT, "bad_parameters")
-    verified = None
-    if g is not None:
-        if g.n != n:
-            return not_applicable(REGULAR_COMPLEMENT, "size_mismatch")
-        summary = degree_summary(g)
-        if not (summary.is_regular and summary.min_degree == n - k - 1):
-            return not_applicable(REGULAR_COMPLEMENT, "regularity_mismatch")
-        verified = True
+    if g.n != n:
+        return not_applicable(REGULAR_COMPLEMENT, "size_mismatch")
+    summary = degree_summary(g)
+    if not (summary.is_regular and summary.min_degree == n - k - 1):
+        return not_applicable(REGULAR_COMPLEMENT, "regularity_mismatch")
     value = Fraction(n, 2 * k)
-    return bound_report(REGULAR_COMPLEMENT, value, {"n": n, "k": k, "verified": verified})
-
-
-def _complement_is_cycle(g: Graph) -> bool:
-    co = complement(g)
-    summary = degree_summary(co)
-    return summary.is_regular and summary.min_degree == 2 and is_connected(co)
-
-
-def family_bound(n: int, family: str, k: int | None = None,
-                 g: Graph | None = None) -> BoundReport:
-    """Closed-form profile bounds for asserted structure.
-
-    coplanar: complement is (planar and k-regular); trusted, planarity is
-        not checked here, so the report carries a warning note.
-    c4free: complement is k-regular with no 4-cycle; verified via
-        max_strong_boundary(2) <= 1 when the graph is given.
-    complement_cycle: complement is a cycle, n >= 5; verified
-        structurally when the graph is given.  (At n = 4 the profile of
-        the 4-cycle is larger and the n/3 form is unsound, so it is
-        rejected.)
-    """
-    if family not in FAMILY_KINDS:
-        return not_applicable(FAMILY, "unknown_family")
-    notes: tuple[str, ...] = ()
-    verified = None
-    if family == "coplanar":
-        value = Fraction(n, 8)
-        notes = ("coplanarity asserted by caller, not verified",)
-        if g is not None:
-            summary = degree_summary(complement(g))
-            if not (summary.is_regular and summary.min_degree >= 1):
-                return not_applicable(FAMILY, "regularity_mismatch")
-            if k is not None and summary.min_degree != k:
-                return not_applicable(FAMILY, "regularity_mismatch")
-    elif family == "c4free":
-        value = Fraction(n, 4)
-        if g is not None:
-            co = complement(g)
-            summary = degree_summary(co)
-            # the n/4 form needs a regular complement: the profile tail
-            # vanishes above the degree, and the edge count is nk/2
-            if not summary.is_regular:
-                return not_applicable(FAMILY, "regularity_mismatch")
-            if k is not None and summary.min_degree != k:
-                return not_applicable(FAMILY, "regularity_mismatch")
-            if co.n >= 2 and max_strong_boundary(co, 2)[0] > 1:
-                return not_applicable(FAMILY, "family_refuted")
-            verified = True
-    else:
-        if n < 5:
-            return not_applicable(FAMILY, "cycle_too_short")
-        value = Fraction(n, 3)
-        if g is not None:
-            if not _complement_is_cycle(g):
-                return not_applicable(FAMILY, "family_refuted")
-            verified = True
-    cert = {"family": family, "n": n, "k": k, "verified": verified}
-    if g is not None and g.n <= PROFILE_MAX_VERTICES and not is_complete(g):
-        cert["generic_value"] = strong_boundary_bound(g).value
-    return bound_report(FAMILY, value, cert, notes)
+    return bound_report(REGULAR_COMPLEMENT, value, {"n": n, "k": k, "verified": True})
 
 
 def detect_family_bound(g: Graph) -> BoundReport:
-    """family_bound with the family detected from the complement.
+    """Closed-form profile bounds for structure found in the complement.
 
-    Tries complement_cycle (n/3) first, then regular C4-free complement
-    (n/4).  Coplanarity is not detectable here, so the n/8 form never
-    fires automatically.
+    complement_cycle: the complement is a cycle and n >= 5; n/3.  (At
+        n = 4 the profile of the 4-cycle is larger and the n/3 form is
+        unsound.)
+    c4free: the complement is k-regular and no two vertices share two
+        complement neighbours, max_strong_boundary(2) <= 1; n/4.  The
+        form needs regularity: the profile tail vanishes above the
+        degree, and the complement's edge count is nk/2.
+
+    The cycle is tried first.  Up to the profile's cap the certificate
+    also carries strong_boundary_bound's value, which each closed form
+    never exceeds.
     """
     if is_complete(g):
         return not_applicable(FAMILY, "complete_graph")
-    if g.n >= 5 and _complement_is_cycle(g):
-        return family_bound(g.n, "complement_cycle", g=g)
     co = complement(g)
     summary = degree_summary(co)
-    if summary.is_regular and max_strong_boundary(co, 2)[0] <= 1:
-        return family_bound(g.n, "c4free", k=summary.min_degree, g=g)
-    return not_applicable(FAMILY, "no_family_detected")
+    if not summary.is_regular:
+        return not_applicable(FAMILY, "no_family_detected")
+    if g.n >= 5 and summary.min_degree == 2 and is_connected(co):
+        family, k, value = "complement_cycle", None, Fraction(g.n, 3)
+    elif max_strong_boundary(co, 2)[0] <= 1:
+        family, k, value = "c4free", summary.min_degree, Fraction(g.n, 4)
+    else:
+        return not_applicable(FAMILY, "no_family_detected")
+    cert = {"family": family, "n": g.n, "k": k, "verified": True}
+    if g.n <= PROFILE_MAX_VERTICES:
+        cert["generic_value"] = strong_boundary_bound(g).value
+    return bound_report(FAMILY, value, cert)
 
 
 def degree_ratio_bound(g: Graph) -> BoundReport:

@@ -1,4 +1,4 @@
-"""Expansion coefficients, expander predicates, and the scan bound."""
+"""Expansion coefficients and the scan bound."""
 
 from fractions import Fraction
 from math import floor
@@ -10,24 +10,18 @@ from boxkit.bitset import full_mask, mask_of, popcount
 from boxkit.errors import BudgetExceededError
 from boxkit.graphs import (
     bipartite_from_edges,
-    complement,
     complete_graph,
     cycle,
     empty_graph,
     from_edges,
 )
 from boxkit.expansion_bounds import (
-    ExpansionProfile,
     ScanEntry,
     best_expansion_bound,
     bipartite_universal_bound,
     certify_expansion_bound,
     co_expansion_table,
     cross_expansion,
-    expansion_profile,
-    is_bipartite_t_expander,
-    is_t_expander,
-    t_expander_bound,
     universal_bound,
 )
 from boxkit.families import (
@@ -36,25 +30,12 @@ from boxkit.families import (
     petersen,
 )
 from boxkit.intervals import boxicity_exact
-from boxkit.rng import Xoshiro256StarStar
 
 from .strategies import graphs
 
 
 def _octahedron():
     return complete_multipartite(2, 3)
-
-
-def _apollonian(n, seed):
-    """Random maximal planar graph: K4 plus repeated face splits."""
-    rng = Xoshiro256StarStar(seed)
-    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-    faces = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    for v in range(4, n):
-        a, b, c = faces.pop(rng.below(len(faces)))
-        edges.extend([(a, v), (b, v), (c, v)])
-        faces.extend([(a, b, v), (a, c, v), (b, c, v)])
-    return from_edges(n, edges)
 
 
 # --- expansion coefficients ------------------------------------------------
@@ -102,63 +83,14 @@ def test_co_expansion_table_is_nondecreasing(g):
     assert all(a <= b for a, b in zip(table, table[1:]))
 
 
-def test_expansion_profile_alpha():
-    profile = expansion_profile(cycle(4), full_mask(4), full_mask(4), 1)
-    assert profile.beta_t == Fraction(3, 4)
-    assert profile.m_table[0] == 1
-    assert profile.alpha(1) == Fraction(1)
-    assert profile.alpha(2) == Fraction(1)
-    with pytest.raises(ValueError):
-        profile.alpha(0)
-    with pytest.raises(ValueError):
-        profile.alpha(5)
-
-
 def test_regular_bipartite_alpha_floor_on_tight_family():
     # subsets drawn from side B, reach measured inside side A
     g = bipartite_tight_family(2, 3).graph
     side_a = mask_of(range(6))
     side_b = mask_of(range(6, 12))
-    profile = expansion_profile(g, side_a, side_b, 1)
-    for j in range(1, 7):
-        assert profile.alpha(j) >= 1
-
-
-# --- expander predicates ----------------------------------------------------
-
-def test_is_t_expander_examples():
-    assert not is_t_expander(cycle(4), 1)
-    assert is_t_expander(cycle(4), 2)
-    assert is_t_expander(_octahedron(), 2)
-    # the Petersen complement is the triangular graph, which has 4-cycles
-    assert not is_t_expander(petersen(), 2)
-
-
-def test_is_t_expander_shortcut_and_validation():
-    # 2t > n leaves no room for a t-by-t complement biclique
-    assert is_t_expander(empty_graph(3), 2)
-    with pytest.raises(ValueError):
-        is_t_expander(cycle(4), 0)
-
-
-def test_complement_of_planar_triangulation_is_3_expander():
-    for seed in (7, 8, 9):
-        tri = _apollonian(10, seed)
-        assert tri.edge_count == 3 * 10 - 6
-        assert is_t_expander(complement(tri), 3)
-
-
-def test_is_bipartite_t_expander():
-    hexagon = bipartite_from_edges(
-        3, 3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
-    assert not is_bipartite_t_expander(hexagon, 1)
-    assert is_bipartite_t_expander(hexagon, 2)
-    full = bipartite_from_edges(2, 2, [(a, b) for a in range(2) for b in range(2)])
-    assert is_bipartite_t_expander(full, 1)
-    with pytest.raises(ValueError):
-        is_bipartite_t_expander(hexagon, 0)
-    with pytest.raises(ValueError):
-        is_bipartite_t_expander(hexagon, 4)
+    table = co_expansion_table(g, side_b, side_a, 6)
+    for j, m in enumerate(table, start=1):
+        assert Fraction(m, j) >= 1
 
 
 # --- the certification scan -------------------------------------------------
@@ -265,26 +197,6 @@ def test_bipartite_universal_bound_degenerate_star():
     assert any("degenerate" in note for note in report.notes)
 
 
-def test_t_expander_bound_values():
-    assert t_expander_bound(cycle(5), 2).value == Fraction(5, 4)
-    assert t_expander_bound(_octahedron(), 2).value == Fraction(3, 2)
-
-
-def test_t_expander_bound_reasons():
-    assert t_expander_bound(cycle(5), 1).reason == "t_must_exceed_1"
-    wheel = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0),
-                           (4, 0), (4, 1), (4, 2), (4, 3)])
-    assert t_expander_bound(wheel, 2).reason == "has_universal_vertex"
-    assert t_expander_bound(petersen(), 2).reason == "not_t_expander"
-
-
-def test_t_expander_bound_regular_specialization():
-    # for regular graphs the closed form collapses to n / (4 (t - 1))
-    for g, t in ((cycle(5), 2), (_octahedron(), 2)):
-        report = t_expander_bound(g, t)
-        assert report.value == Fraction(g.n, 4 * (t - 1))
-
-
 # --- the dispatcher -----------------------------------------------------------
 
 def test_best_expansion_bound_examples():
@@ -332,5 +244,6 @@ def test_best_expansion_bound_is_sound(g):
 
 
 def test_subset_budget_guard():
+    full = full_mask(40)
     with pytest.raises(BudgetExceededError):
-        is_t_expander(empty_graph(40), 20)
+        cross_expansion(empty_graph(40), full, full, 20)

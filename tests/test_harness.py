@@ -2,7 +2,9 @@
 command-line surface."""
 
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +126,13 @@ def test_registry_is_the_bound_list():
     assert ALL_BOUNDS == tuple(BOUNDS) == (
         "min_supergraph", "strong_boundary", "family", "degree_ratio",
         "universal", "spectral", "expansion")
+
+
+def test_readme_bound_table_is_the_registry():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = readme.index("| name | idea | typical certificate |")
+    table = readme[start:readme.index("\n\n", start)].splitlines()[2:]
+    assert [re.match(r"\| `(\w+)` \|", row).group(1) for row in table] == list(ALL_BOUNDS)
 
 
 def _closed_rows(g):

@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from boxkit.errors import PROFILE_MAX_VERTICES, SUPERGRAPH_MAX_VERTICES
+from boxkit.families import ENUMERATION_MAX_VERTICES
 from boxkit.harness import ALL_BOUNDS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,6 +30,14 @@ def test_soundness_table_small():
     assert lines[0].startswith("graphs enumerated: ")
     rows = [line.split()[0] for line in lines[2:]]
     assert rows == list(ALL_BOUNDS)
+
+
+@pytest.mark.parametrize("max_n", ["0", str(ENUMERATION_MAX_VERTICES + 1)])
+def test_soundness_table_rejects_sizes_outside_the_enumeration(max_n):
+    proc = _run_script("soundness_table.py", "--max-n", max_n)
+    assert proc.returncode == 2
+    assert "--max-n" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_dp_scale_small():

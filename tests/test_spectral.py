@@ -2,38 +2,25 @@
 
 import math
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest
 
-from boxkit.bitset import popcount
 from boxkit.graphs import (
-    bipartite_from_edges,
     complement,
     complete_graph,
     cycle,
-    empty_graph,
     path,
 )
-from boxkit.families import bipartite_tight_family, complete_multipartite, petersen
+from boxkit.families import complete_multipartite, petersen
 from boxkit.spectral import (
     RESIDUAL_TOL,
     adjacency_matrix,
     adjacency_spectrum,
-    bipartite_spectral_bound,
-    gram_spectrum,
-    random_regular_reference,
     spectral_bound,
     strongly_regular_secondary,
     symmetric_eigenvalues,
-    tanner_bound,
 )
-
-
-def _hexagon_bipartite():
-    # a 6-cycle split across the bipartition: a_i adjacent to b_i, b_{i+1}
-    return bipartite_from_edges(3, 3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
 
 
 def _sorted_close(values, expected, tol=1e-8):
@@ -140,107 +127,3 @@ def test_spectral_bound_growth_with_part_count():
     for p, value in zip(range(4, 13), values):
         scaled = float(value) * math.log(p) / p
         assert Fraction(1, 16) <= scaled <= Fraction(1, 4)
-
-
-def test_gram_spectrum_hexagon():
-    summary = gram_spectrum(_hexagon_bipartite())
-    assert _sorted_close(summary.eigenvalues, (4, 1, 1))
-    assert summary.residual <= RESIDUAL_TOL
-
-
-def test_tanner_bound_full_subset_is_exact():
-    # at |X| = n the lambda terms cancel and the answer is exactly n
-    assert tanner_bound(petersen(), 10) == Fraction(10)
-    assert tanner_bound(complete_multipartite(2, 3), 6) == Fraction(6)
-    assert tanner_bound(_hexagon_bipartite(), 3) == Fraction(3)
-
-
-def test_tanner_bound_singletons():
-    assert abs(float(tanner_bound(petersen(), 1)) - 2.0) <= 1e-8
-    assert abs(float(tanner_bound(_hexagon_bipartite(), 1)) - 2.0) <= 1e-8
-
-
-@pytest.mark.parametrize("g", [petersen(), complete_multipartite(2, 3)])
-def test_tanner_bound_is_sound(g):
-    for t in range(1, 5):
-        guaranteed = float(tanner_bound(g, t))
-        worst = min(
-            popcount(_union_neighborhood(g, subset))
-            for subset in combinations(range(g.n), t)
-        )
-        assert worst + 1e-6 >= guaranteed
-
-
-def _union_neighborhood(g, subset):
-    acc = 0
-    for v in subset:
-        acc |= g.rows[v]
-    return acc
-
-
-def test_tanner_bound_is_sound_bipartite():
-    gb = _hexagon_bipartite()
-    for t in range(1, 4):
-        guaranteed = float(tanner_bound(gb, t))
-        worst = min(
-            popcount(_union_neighborhood(gb, subset))
-            for subset in combinations(range(gb.na), t)
-        )
-        assert worst + 1e-6 >= guaranteed
-
-
-def test_tanner_bound_validation():
-    with pytest.raises(ValueError):
-        tanner_bound(path(4), 1)
-    with pytest.raises(ValueError):
-        tanner_bound(empty_graph(4), 1)
-    with pytest.raises(ValueError):
-        tanner_bound(petersen(), 0)
-    with pytest.raises(ValueError):
-        tanner_bound(petersen(), 11)
-    with pytest.raises(ValueError):
-        tanner_bound(bipartite_from_edges(1, 2, [(0, 0), (0, 1)]), 1)
-    with pytest.raises(ValueError):
-        tanner_bound(bipartite_from_edges(1, 1, [(0, 0)]), 1)
-
-
-def test_bipartite_spectral_bound_hexagon():
-    report = bipartite_spectral_bound(_hexagon_bipartite())
-    assert report.applicable
-    assert abs(float(report.value) - 0.5) <= 1e-8
-    assert report.ceiling == 1
-    assert any("tightness" in note for note in report.notes)
-
-
-def test_bipartite_spectral_bound_reasons():
-    full = bipartite_from_edges(3, 3, [(a, b) for a in range(3) for b in range(3)])
-    assert bipartite_spectral_bound(full).reason == "second_gram_eigenvalue_zero"
-    lopsided = bipartite_from_edges(1, 2, [(0, 0), (0, 1)])
-    assert bipartite_spectral_bound(lopsided).reason == "not_regular_bipartite"
-    single = bipartite_from_edges(1, 1, [(0, 0)])
-    assert bipartite_spectral_bound(single).reason == "side_too_small"
-
-
-def test_bipartite_spectral_bound_on_tight_family():
-    cert = bipartite_tight_family(2, 3)
-    report = bipartite_spectral_bound(cert.bipartite)
-    assert report.applicable
-    assert abs(float(report.value) - 0.5) <= 1e-8
-    assert report.value <= cert.claimed_upper
-
-
-def test_random_regular_reference_values():
-    assert abs(float(random_regular_reference(10, 3)) - 0.448) <= 1e-3
-    assert abs(float(random_regular_reference(1000, 10)) - 1.04) <= 1e-2
-
-
-def test_random_regular_reference_monotone_in_degree():
-    values = [random_regular_reference(10_000, k) for k in range(3, 51)]
-    assert all(a <= b for a, b in zip(values, values[1:]))
-
-
-def test_random_regular_reference_validation():
-    with pytest.raises(ValueError):
-        random_regular_reference(10, 1)
-    with pytest.raises(ValueError):
-        random_regular_reference(4, 3)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 
 from boxkit.errors import PROFILE_MAX_VERTICES
 from boxkit.graphs import (
-    Graph,
     complement,
     complete_graph,
     cycle,
@@ -18,12 +17,18 @@ from boxkit.isoperimetry import iso_profile
 from boxkit.supergraph_bounds import (
     degree_ratio_bound,
     detect_family_bound,
-    family_bound,
     min_supergraph_bound,
     regular_complement_bound,
     strong_boundary_bound,
 )
-from boxkit.families import complement_cycle, complete_multipartite, petersen
+from boxkit.families import (
+    RandomModelSpec,
+    complement_cycle,
+    complete_multipartite,
+    enumerate_graphs,
+    petersen,
+    sample,
+)
 
 from .strategies import graphs
 
@@ -101,86 +106,85 @@ def test_regular_complement_rejections():
     g = complete_multipartite(2, 3)
     assert regular_complement_bound(6, 2, g).reason == "regularity_mismatch"
     assert regular_complement_bound(5, 1, g).reason == "size_mismatch"
-    assert regular_complement_bound(0, 1).reason == "bad_parameters"
-    assert regular_complement_bound(6, 0).reason == "bad_parameters"
-
-
-def test_regular_complement_trusted_mode():
-    report = regular_complement_bound(12, 3)
-    assert report.value == Fraction(2)
-    assert report.certificate["verified"] is None
+    assert regular_complement_bound(0, 1, g).reason == "bad_parameters"
+    assert regular_complement_bound(6, 0, g).reason == "bad_parameters"
 
 
 def test_family_complement_cycle_values():
-    for n in range(6, 13):
-        g = complement_cycle(n)
-        report = family_bound(n, "complement_cycle", g=g)
+    for n in range(5, 13):
+        report = detect_family_bound(complement_cycle(n))
         assert report.value == Fraction(n, 3)
+        assert report.certificate["family"] == "complement_cycle"
         assert report.certificate["verified"] is True
 
 
 def test_family_complement_cycle_rejections():
-    assert family_bound(4, "complement_cycle").reason == "cycle_too_short"
-    # complement of C6 is 3-regular, not a cycle
-    assert family_bound(6, "complement_cycle", g=cycle(6)).reason == "family_refuted"
+    # at n = 4 the complement cycle is C4, whose profile breaks n/3
+    assert detect_family_bound(complement_cycle(4)).reason == "no_family_detected"
+    # complement of C6 is 3-regular with 4-cycles, not a cycle
+    assert detect_family_bound(cycle(6)).reason == "no_family_detected"
 
 
-def test_family_coplanar_is_trusted_with_warning():
-    report = family_bound(16, "coplanar")
-    assert report.value == Fraction(2)
-    assert report.certificate["verified"] is None
-    assert any("not verified" in note for note in report.notes)
-
-
-def test_family_coplanar_degree_screen():
-    g = complement_cycle(16)
-    assert family_bound(16, "coplanar", k=2, g=g).applicable
-    assert family_bound(16, "coplanar", k=3, g=g).reason == "regularity_mismatch"
-    assert family_bound(4, "coplanar", g=complete_graph(4)).reason == "regularity_mismatch"
-
-
-def test_family_c4free_on_five_cycle():
-    # C5 is self-complementary, 2-regular, and C4-free
-    report = family_bound(5, "c4free", k=2, g=cycle(5))
-    assert report.value == Fraction(5, 4)
-    assert report.ceiling == 2
+def test_family_c4free_on_petersen_complement():
+    # the Petersen graph is 3-regular with girth 5
+    report = detect_family_bound(complement(petersen()))
+    assert report.certificate["family"] == "c4free"
+    assert report.certificate["k"] == 3
+    assert report.value == Fraction(5, 2)
     assert report.certificate["verified"] is True
 
 
 def test_family_c4free_rejections():
-    two_edges = complement(cycle(4))
-    # complement of 2K2 is C4 itself, which contains a 4-cycle
-    assert family_bound(4, "c4free", g=two_edges).reason == "family_refuted"
     # P4 has a non-regular complement
-    assert family_bound(4, "c4free", g=path(4)).reason == "regularity_mismatch"
-    assert family_bound(5, "c4free", k=3, g=cycle(5)).reason == "regularity_mismatch"
-    assert family_bound(5, "nonsense").reason == "unknown_family"
+    assert detect_family_bound(path(4)).reason == "no_family_detected"
+    # the Petersen complement is the triangular graph, which has 4-cycles
+    assert detect_family_bound(petersen()).reason == "no_family_detected"
 
 
 def test_family_certificate_carries_generic_value():
     g = complement_cycle(9)
-    report = family_bound(9, "complement_cycle", g=g)
+    report = detect_family_bound(g)
+    assert list(report.certificate) == ["family", "n", "k", "verified", "generic_value"]
     assert report.certificate["generic_value"] == Fraction(3)
     assert report.certificate["generic_value"] == strong_boundary_bound(g).value
 
 
 def test_family_generic_value_reaches_the_profile_cap():
     cap = PROFILE_MAX_VERTICES
-    report = family_bound(cap, "complement_cycle", g=complement_cycle(cap))
+    report = detect_family_bound(complement_cycle(cap))
     assert report.certificate["generic_value"] == strong_boundary_bound(complement_cycle(cap)).value
-    past = family_bound(cap + 1, "complement_cycle", g=complement_cycle(cap + 1))
+    past = detect_family_bound(complement_cycle(cap + 1))
     assert past.value == Fraction(cap + 1, 3)
     assert "generic_value" not in past.certificate
 
 
+def _family_corpus():
+    yield from (g for n in range(1, 7) for g in enumerate_graphs(n))
+    for n in range(6, 16):
+        for k in (1, 2, 3):
+            if n * k % 2 == 0:
+                for seed in (1, 2, 3):
+                    yield complement(sample(RandomModelSpec("regular", n, seed, k=k)))
+    yield from (complement_cycle(n) for n in range(5, 20))
+
+
+def test_family_value_never_exceeds_its_generic_value():
+    """Each closed form is an instance of the profile inequality, so it
+    can never beat strong_boundary on the same graph."""
+    fired = 0
+    for g in _family_corpus():
+        report = detect_family_bound(g)
+        if report.applicable:
+            fired += 1
+            assert report.value <= report.certificate["generic_value"]
+    assert fired > 0
+
+
 def test_detect_family_bound_cases():
-    assert detect_family_bound(complement_cycle(9)).value == Fraction(3)
-    assert detect_family_bound(complement_cycle(9)).certificate["family"] == "complement_cycle"
     # complement of C4 is 1-regular and trivially C4-free
     c4 = detect_family_bound(cycle(4))
     assert c4.certificate["family"] == "c4free"
     assert c4.value == Fraction(1)
-    assert detect_family_bound(petersen()).reason == "no_family_detected"
 
 
 def test_family_bounds_agree_with_profile_identity():
@@ -188,7 +192,7 @@ def test_family_bounds_agree_with_profile_identity():
     form coincide exactly, which is what makes the family form safe."""
     for n in (6, 9, 12):
         g = complement_cycle(n)
-        closed = family_bound(n, "complement_cycle", g=g).value
+        closed = detect_family_bound(g).value
         generic = strong_boundary_bound(g).value
         assert closed == generic == Fraction(n, 3)
 
