@@ -1,4 +1,4 @@
-"""Expansion coefficients and the scan bound."""
+"""Expansion coefficients, expander conditions, and the scan bound."""
 
 from fractions import Fraction
 from math import floor
@@ -10,6 +10,7 @@ from boxkit.bitset import full_mask, mask_of, popcount
 from boxkit.errors import BudgetExceededError
 from boxkit.graphs import (
     bipartite_from_edges,
+    complement,
     complete_graph,
     cycle,
     empty_graph,
@@ -27,15 +28,42 @@ from boxkit.expansion_bounds import (
 from boxkit.families import (
     bipartite_tight_family,
     complete_multipartite,
+    enumerate_graphs,
     petersen,
 )
 from boxkit.intervals import boxicity_exact
+from boxkit.isoperimetry import max_strong_boundary
+from boxkit.rng import Xoshiro256StarStar
+from boxkit.supergraph_bounds import detect_family_bound
 
 from .strategies import graphs
 
 
 def _octahedron():
     return complete_multipartite(2, 3)
+
+
+def _apollonian(n, seed):
+    """Random maximal planar graph: K4 plus repeated face splits."""
+    rng = Xoshiro256StarStar(seed)
+    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    faces = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    for v in range(4, n):
+        a, b, c = faces.pop(rng.below(len(faces)))
+        edges.extend([(a, v), (b, v), (c, v)])
+        faces.extend([(a, b, v), (a, c, v), (b, c, v)])
+    return from_edges(n, edges)
+
+
+def _is_t_expander(g, t):
+    """No t vertices share t common complement-neighbours, i.e. the
+    complement has no t-by-t complete bipartite subgraph."""
+    return max_strong_boundary(complement(g), t)[0] < t
+
+
+def _wheel():
+    return from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0),
+                          (4, 0), (4, 1), (4, 2), (4, 3)])
 
 
 # --- expansion coefficients ------------------------------------------------
@@ -83,6 +111,15 @@ def test_co_expansion_table_is_nondecreasing(g):
     assert all(a <= b for a, b in zip(table, table[1:]))
 
 
+def test_expansion_profile_alpha():
+    # beta_1 and the co-expansion rates m_j / j of C4 on its full vertex set
+    v4 = full_mask(4)
+    assert cross_expansion(cycle(4), v4, v4, 1) == Fraction(3, 4)
+    table = co_expansion_table(cycle(4), v4, v4, 4)
+    assert table == (1, 2, 3, 4)
+    assert all(Fraction(m, j) == 1 for j, m in enumerate(table, start=1))
+
+
 def test_regular_bipartite_alpha_floor_on_tight_family():
     # subsets drawn from side B, reach measured inside side A
     g = bipartite_tight_family(2, 3).graph
@@ -91,6 +128,53 @@ def test_regular_bipartite_alpha_floor_on_tight_family():
     table = co_expansion_table(g, side_b, side_a, 6)
     for j, m in enumerate(table, start=1):
         assert Fraction(m, j) >= 1
+
+
+# --- expander conditions ----------------------------------------------------
+
+def test_is_t_expander_examples():
+    assert not _is_t_expander(cycle(4), 1)
+    assert _is_t_expander(cycle(4), 2)
+    assert _is_t_expander(_octahedron(), 2)
+    # the Petersen complement is the triangular graph, which has 4-cycles
+    assert not _is_t_expander(petersen(), 2)
+
+
+def test_is_t_expander_shortcut_and_validation():
+    # 2t > n leaves no room for a t-by-t complement biclique: the strong
+    # boundary lies outside the t chosen vertices, so it has n - t < t
+    assert max_strong_boundary(complement(empty_graph(3)), 2)[0] == 1
+    assert _is_t_expander(empty_graph(3), 2)
+    with pytest.raises(ValueError):
+        _is_t_expander(cycle(4), 0)
+
+
+def test_complement_of_planar_triangulation_is_3_expander():
+    # a planar graph has no K_{3,3}: no three vertices share three neighbours
+    for seed in (7, 8, 9):
+        tri = _apollonian(10, seed)
+        assert tri.edge_count == 3 * 10 - 6
+        assert _is_t_expander(complement(tri), 3)
+
+
+def test_is_bipartite_t_expander():
+    """Every t vertices of side A leave fewer than t vertices of side B
+    unreached, read off cross_expansion over the sides."""
+    def is_expander(gb, t):
+        side_a, side_b = full_mask(gb.na), full_mask(gb.nb) << gb.na
+        reached = cross_expansion(gb.to_graph(), side_a, side_b, t) * gb.nb
+        return gb.nb - reached < t
+
+    hexagon = bipartite_from_edges(
+        3, 3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
+    assert not is_expander(hexagon, 1)
+    assert is_expander(hexagon, 2)
+    full = bipartite_from_edges(2, 2, [(a, b) for a in range(2) for b in range(2)])
+    assert is_expander(full, 1)
+    with pytest.raises(ValueError):
+        is_expander(hexagon, 0)
+    with pytest.raises(ValueError):
+        is_expander(hexagon, 4)
 
 
 # --- the certification scan -------------------------------------------------
@@ -197,6 +281,47 @@ def test_bipartite_universal_bound_degenerate_star():
     assert any("degenerate" in note for note in report.notes)
 
 
+# The t-expander bound n (n - Delta - 1) / (2 (t-1) (2n - Delta - delta - 2))
+# is n / 4 for a regular 2-expander, the square-free form of
+# detect_family_bound; the tests below check it there.
+
+def test_t_expander_bound_values():
+    octahedron = detect_family_bound(_octahedron())
+    assert octahedron.certificate["family"] == "c4free"
+    assert octahedron.value == Fraction(3, 2)
+    # C5 is a 2-expander too, but its complement is a cycle and the
+    # cycle form n/3 is tried first and is larger than n/4
+    assert _is_t_expander(cycle(5), 2)
+    five = detect_family_bound(cycle(5))
+    assert five.certificate["family"] == "complement_cycle"
+    assert five.value == Fraction(5, 3) > Fraction(5, 4)
+
+
+def test_t_expander_bound_reasons():
+    assert detect_family_bound(complete_graph(5)).reason == "complete_graph"
+    # a universal vertex is isolated in the complement, so it is not regular
+    assert detect_family_bound(_wheel()).reason == "no_family_detected"
+    assert not _is_t_expander(petersen(), 2)
+    assert detect_family_bound(petersen()).reason == "no_family_detected"
+
+
+def test_t_expander_bound_regular_specialization():
+    # every regular 2-expander up to six vertices gets n/4, or n/3 when
+    # its complement is a cycle
+    for n in range(2, 7):
+        for g in enumerate_graphs(n):
+            co = complement(g)
+            rows = {popcount(row) for row in co.rows}
+            if len(rows) > 1 or rows == {0} or not _is_t_expander(g, 2):
+                continue
+            report = detect_family_bound(g)
+            if report.certificate["family"] == "c4free":
+                assert report.value == Fraction(n, 4)
+                assert report.certificate["k"] == rows.pop()
+            else:
+                assert report.value == Fraction(n, 3)
+
+
 # --- the dispatcher -----------------------------------------------------------
 
 def test_best_expansion_bound_examples():
@@ -213,9 +338,7 @@ def test_best_expansion_bound_on_complete_graphs():
 
 
 def test_best_expansion_bound_strips_universal_vertices():
-    wheel = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0),
-                           (4, 0), (4, 1), (4, 2), (4, 3)])
-    report = best_expansion_bound(wheel)
+    report = best_expansion_bound(_wheel())
     assert report.value == Fraction(2)
     assert report.certificate.vertex_labels == (0, 1, 2, 3)
 

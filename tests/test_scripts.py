@@ -40,6 +40,12 @@ def test_soundness_table_rejects_sizes_outside_the_enumeration(max_n):
     assert "Traceback" not in proc.stderr
 
 
+def test_soundness_table_help_names_the_cap():
+    proc = _run_script("soundness_table.py", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert f"1..{ENUMERATION_MAX_VERTICES}" in " ".join(proc.stdout.split())
+
+
 def test_dp_scale_small():
     proc = _run_script("dp_scale.py", "--min-n", "9", "--max-n", "10")
     assert proc.returncode == 0, proc.stderr

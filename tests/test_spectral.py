@@ -2,17 +2,20 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from boxkit.bitset import popcount
 from boxkit.graphs import (
+    bipartite_from_edges,
     complement,
     complete_graph,
     cycle,
     path,
 )
-from boxkit.families import complete_multipartite, petersen
+from boxkit.families import RandomModelSpec, complete_multipartite, petersen, sample
 from boxkit.spectral import (
     RESIDUAL_TOL,
     adjacency_matrix,
@@ -21,6 +24,43 @@ from boxkit.spectral import (
     strongly_regular_secondary,
     symmetric_eigenvalues,
 )
+
+
+def _hexagon_bipartite():
+    # a 6-cycle split across the bipartition: a_i adjacent to b_i, b_{i+1}
+    return bipartite_from_edges(3, 3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
+
+
+def _gram_spectrum(gb):
+    """Eigenvalues of M M^T for the biadjacency block M of gb."""
+    m = adjacency_matrix(gb.to_graph())[:gb.na, gb.na:]
+    return symmetric_eigenvalues(m @ m.T)
+
+
+def _tanner(k, lam_sq, x_size, side):
+    """Tanner's guaranteed neighbourhood size of any x_size vertices of a
+    k-regular graph on `side` vertices whose second adjacency eigenvalue
+    magnitude is sqrt(lam_sq): k^2 t / (lam^2 + (k^2 - lam^2) t / side).
+    For subsets of side A of a regular bipartite graph, lam_sq is the
+    second eigenvalue of the biadjacency Gram matrix and side is |A|."""
+    lam_sq = Fraction(lam_sq)
+    return Fraction(k * k * x_size) / (lam_sq + (k * k - lam_sq) * Fraction(x_size, side))
+
+
+def _regular_tanner(g, x_size):
+    spectrum = adjacency_spectrum(g)
+    return _tanner(spectrum.degree, Fraction(spectrum.second_largest_abs) ** 2, x_size, g.n)
+
+
+def _hexagon_tanner(x_size):
+    return _tanner(2, _gram_spectrum(_hexagon_bipartite()).eigenvalues[1], x_size, 3)
+
+
+def _union_neighborhood(rows, subset):
+    acc = 0
+    for v in subset:
+        acc |= rows[v]
+    return acc
 
 
 def _sorted_close(values, expected, tol=1e-8):
@@ -127,3 +167,52 @@ def test_spectral_bound_growth_with_part_count():
     for p, value in zip(range(4, 13), values):
         scaled = float(value) * math.log(p) / p
         assert Fraction(1, 16) <= scaled <= Fraction(1, 4)
+
+
+def test_gram_spectrum_hexagon():
+    summary = _gram_spectrum(_hexagon_bipartite())
+    assert _sorted_close(summary.eigenvalues, (4, 1, 1))
+    assert summary.residual <= RESIDUAL_TOL
+
+
+def test_tanner_bound_full_subset_is_exact():
+    # at |X| = n the lambda terms cancel and the answer is exactly n
+    assert _regular_tanner(petersen(), 10) == Fraction(10)
+    assert _regular_tanner(complete_multipartite(2, 3), 6) == Fraction(6)
+    assert _hexagon_tanner(3) == Fraction(3)
+
+
+def test_tanner_bound_singletons():
+    assert abs(float(_regular_tanner(petersen(), 1)) - 2.0) <= 1e-8
+    assert abs(float(_hexagon_tanner(1)) - 2.0) <= 1e-8
+
+
+@pytest.mark.parametrize("g", [petersen(), complete_multipartite(2, 3)])
+def test_tanner_bound_is_sound(g):
+    for t in range(1, 5):
+        guaranteed = float(_regular_tanner(g, t))
+        worst = min(popcount(_union_neighborhood(g.rows, subset))
+                    for subset in combinations(range(g.n), t))
+        assert worst + 1e-6 >= guaranteed
+
+
+def test_tanner_bound_is_sound_bipartite():
+    gb = _hexagon_bipartite()
+    for t in range(1, 4):
+        guaranteed = float(_hexagon_tanner(t))
+        worst = min(popcount(_union_neighborhood(gb.rows, subset))
+                    for subset in combinations(range(gb.na), t))
+        assert worst + 1e-6 >= guaranteed
+
+
+def test_tanner_bound_is_sound_on_sampled_regular_graphs():
+    """The second eigenvalue magnitude adjacency_spectrum reports is never
+    so small that Tanner's neighbourhood guarantee overshoots."""
+    for n, k in ((10, 3), (12, 3), (12, 4)):
+        for seed in (1, 2, 3):
+            g = sample(RandomModelSpec("regular", n, seed, k=k))
+            for t in range(1, 5):
+                guaranteed = float(_regular_tanner(g, t))
+                worst = min(popcount(_union_neighborhood(g.rows, subset))
+                            for subset in combinations(range(n), t))
+                assert worst + 1e-6 >= guaranteed

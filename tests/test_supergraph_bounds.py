@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 
 from boxkit.errors import PROFILE_MAX_VERTICES
@@ -13,7 +14,7 @@ from boxkit.graphs import (
     path,
 )
 from boxkit.intervals import boxicity_exact, canonical_supergraph
-from boxkit.isoperimetry import iso_profile
+from boxkit.isoperimetry import iso_profile, max_strong_boundary
 from boxkit.supergraph_bounds import (
     degree_ratio_bound,
     detect_family_bound,
@@ -110,6 +111,37 @@ def test_regular_complement_rejections():
     assert regular_complement_bound(6, 0, g).reason == "bad_parameters"
 
 
+def test_regular_complement_trusted_mode():
+    # there is no unchecked mode: the graph is required and checked
+    with pytest.raises(TypeError):
+        regular_complement_bound(12, 3)
+    three_k4 = complete_multipartite(4, 3)
+    report = regular_complement_bound(12, 3, three_k4)
+    assert report.value == Fraction(2)
+    assert report.certificate["verified"] is True
+
+
+def test_regular_complement_bound_checks_the_graph():
+    """n / 2k is reported exactly when the complement is k-regular."""
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            degrees = {row.bit_count() for row in complement(g).rows}
+            for k in range(1, n):
+                report = regular_complement_bound(n, k, g)
+                assert report.applicable == (degrees == {k})
+                if report.applicable:
+                    assert report.value == Fraction(n, 2 * k)
+
+
+def test_family_coplanar_degree_screen():
+    # the co-planar form is gone; the complement-regularity screen it ran
+    # is regular_complement_bound's, checked here on the same graphs
+    g = complement_cycle(16)
+    assert regular_complement_bound(16, 2, g).applicable
+    assert regular_complement_bound(16, 3, g).reason == "regularity_mismatch"
+    assert regular_complement_bound(4, 1, complete_graph(4)).reason == "regularity_mismatch"
+
+
 def test_family_complement_cycle_values():
     for n in range(5, 13):
         report = detect_family_bound(complement_cycle(n))
@@ -123,6 +155,18 @@ def test_family_complement_cycle_rejections():
     assert detect_family_bound(complement_cycle(4)).reason == "no_family_detected"
     # complement of C6 is 3-regular with 4-cycles, not a cycle
     assert detect_family_bound(cycle(6)).reason == "no_family_detected"
+
+
+def test_family_c4free_on_five_cycle():
+    # C5 is self-complementary, 2-regular, and C4-free, so both forms
+    # hold; the cycle form is tried first and is the larger
+    g = cycle(5)
+    assert max_strong_boundary(complement(g), 2)[0] <= 1
+    report = detect_family_bound(g)
+    assert report.certificate["family"] == "complement_cycle"
+    assert report.value == Fraction(5, 3) > Fraction(5, 4)
+    assert report.ceiling == 2
+    assert report.certificate["verified"] is True
 
 
 def test_family_c4free_on_petersen_complement():
@@ -178,6 +222,15 @@ def test_family_value_never_exceeds_its_generic_value():
             fired += 1
             assert report.value <= report.certificate["generic_value"]
     assert fired > 0
+
+
+def test_detect_family_bound_reports_only_verified_forms():
+    for g in _family_corpus():
+        report = detect_family_bound(g)
+        if report.applicable:
+            assert report.certificate["family"] in ("complement_cycle", "c4free")
+            assert report.certificate["verified"] is True
+            assert report.notes == ()
 
 
 def test_detect_family_bound_cases():
