@@ -16,51 +16,42 @@ per-b trace a verifier can replay against the tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
 from math import floor
 
-import numpy as np
-
 from .bitset import bits, full_mask, mask_of, members, popcount
-from .errors import check_subset_budget
 from .graphs import (
     BipartiteGraph,
     Graph,
     bipartition,
     closed_neighborhood,
-    complement,
     degree_summary,
     induced_subgraph,
     is_complete,
     universal_vertices,
 )
+from .isoperimetry import _least_union
 from .reports import BoundReport, bound_report, not_applicable
 
 EXPANSION = "expansion"
 UNIVERSAL = "universal"
 BIPARTITE_UNIVERSAL = "bipartite_universal"
 
-_WORD = (1 << 64) - 1
-
 
 def cross_expansion(g: Graph, subset_side: int, target_side: int, t: int) -> Fraction:
     """beta_t: worst closed-neighborhood coverage of the target side by
     any t vertices of the subset side."""
-    size = popcount(subset_side)
-    if not 1 <= t <= size:
-        raise ValueError(f"t = {t} outside 1..{size}")
     if target_side == 0:
         raise ValueError("target side must be nonempty")
-    check_subset_budget(size, t)
-    pool = members(subset_side)
-    best = None
-    for combo in combinations(pool, t):
-        covered = popcount(closed_neighborhood(g, mask_of(combo)) & target_side)
-        if best is None or covered < best:
-            best = covered
-    return Fraction(best, popcount(target_side))
+    rows = [(g.rows[v] | 1 << v) & target_side for v in bits(subset_side)]
+    return Fraction(_least_union(rows, t)[0], popcount(target_side))
+
+
+def _co_rows(g: Graph, subset_side: int, target_side: int) -> list[int]:
+    """The complement neighbourhood of each subset-side vertex, inside
+    the target side: m_j is the least union of j of them."""
+    return [g.vertices & ~(g.rows[v] | 1 << v) & target_side for v in bits(subset_side)]
 
 
 def co_expansion_table(g: Graph, subset_side: int, target_side: int,
@@ -70,35 +61,8 @@ def co_expansion_table(g: Graph, subset_side: int, target_side: int,
     size = popcount(subset_side)
     if not 1 <= j_max <= size:
         raise ValueError(f"j_max = {j_max} outside 1..{size}")
-    co = complement(g)
-    pool = members(subset_side)
-    return tuple(_min_reach(co, pool, target_side, j) for j in range(1, j_max + 1))
-
-
-def _min_reach(co: Graph, pool: tuple[int, ...], target_side: int, j: int) -> int:
-    """m_j: fewest target vertices any j pool vertices reach in co.
-
-    The j-subsets are built one member at a time as numpy arrays of
-    reach sets (co.rows[v] & target_side, split into 64-bit words).  A
-    layer lists its prefixes grouped by last pool index, ascending, and
-    keeps only those that can still grow to size j, so it never holds
-    more than C(len(pool), j) entries, and the prefixes a new last index
-    x extends are the leading slice with last index below x.
-    """
-    check_subset_budget(len(pool), j)
-    words = (co.n + 63) // 64
-    rows = np.array([[(co.rows[v] & target_side) >> (64 * w) & _WORD for w in range(words)]
-                     for v in pool], dtype=np.uint64)
-    # Every member may sit at most `slack` places past its earliest slot;
-    # ends[i] counts the prefixes whose last index is at most i past it.
-    slack = len(pool) - j
-    reach = np.zeros((1, words), dtype=np.uint64)
-    ends = np.ones(slack + 1, dtype=np.int64)
-    for size in range(j - 1):
-        reach = np.concatenate([reach[:ends[i]] | rows[size + i] for i in range(slack + 1)])
-        ends = np.cumsum(ends)
-    return min(int(np.bitwise_count(reach[:ends[i]] | rows[j - 1 + i]).sum(axis=1).min())
-               for i in range(slack + 1))
+    rows = _co_rows(g, subset_side, target_side)
+    return tuple(_least_union(rows, j)[0] for j in range(1, j_max + 1))
 
 
 @dataclass(frozen=True)
@@ -143,13 +107,12 @@ def certify_expansion_bound(g: Graph, s1: int, s2: int,
             raise ValueError(f"vertex {u} of s2 dominates s1")
 
     beta = cross_expansion(g, s1, s2, t)
-    co = complement(g)
-    pool = members(s2)
+    co_rows = _co_rows(g, s2, s1)
     m_cache: dict[int, int] = {}
 
     def m_at(j: int) -> int:
         if j not in m_cache:
-            m_cache[j] = _min_reach(co, pool, s1, j)
+            m_cache[j] = _least_union(co_rows, j)[0]
         return m_cache[j]
 
     cap = max(n1, n2) // 2 + 2
@@ -251,19 +214,12 @@ def best_expansion_bound(g: Graph, t_max: int = 2) -> BoundReport:
             sub_s2 = mask_of(relabel[v] for v in bits(s2_kept))
             candidates.append((sub, sub_s1, sub_s2, labels))
 
-    best: tuple[BoundReport, ExpansionCertificate] | None = None
+    best: ExpansionCertificate | None = None
     for sub, s1, s2, labels in candidates:
         for t in range(1, min(t_max, popcount(s1)) + 1):
-            try:
-                report, cert = certify_expansion_bound(sub, s1, s2, t)
-            except ValueError:
-                continue
-            if best is None or cert.bound > best[1].bound:
-                tagged = ExpansionCertificate(
-                    cert.s1, cert.s2, cert.t, cert.beta_t, cert.trace,
-                    cert.bound, vertex_labels=labels,
-                )
-                best = (bound_report(EXPANSION, Fraction(cert.bound), tagged), tagged)
+            _, cert = certify_expansion_bound(sub, s1, s2, t)
+            if best is None or cert.bound > best.bound:
+                best = replace(cert, vertex_labels=labels)
     if best is None:
         return not_applicable(EXPANSION, "no_valid_instantiation")
-    return best[0]
+    return bound_report(EXPANSION, Fraction(best.bound), best)

@@ -17,7 +17,6 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .bitset import full_mask
 from .errors import BudgetExceededError
 from .graphs import (
     BipartiteGraph,
@@ -29,7 +28,7 @@ from .graphs import (
     from_edges,
     from_pair_mask,
 )
-from .intervals import IntervalRep, realize
+from .intervals import IntervalRep, intersect_realized
 from .rng import Xoshiro256StarStar
 
 MODELS = ("gnp", "gnm", "regular", "bipartite_gnp", "bipartite_gnm")
@@ -84,14 +83,19 @@ def _sample_gnp(rng: Xoshiro256StarStar, n: int, p: Fraction) -> Graph:
     return from_edges(n, edges)
 
 
-def _sample_gnm(rng: Xoshiro256StarStar, n: int, m: int) -> Graph:
-    slots = list(combinations(range(n), 2))
+def _draw_slots(rng: Xoshiro256StarStar, slots: list, m: int) -> list:
+    """m of the slots, uniformly without replacement, by the first m
+    steps of a Fisher-Yates shuffle."""
     if not 0 <= m <= len(slots):
         raise ValueError(f"m = {m} outside 0..{len(slots)}")
     for i in range(m):
         j = i + rng.below(len(slots) - i)
         slots[i], slots[j] = slots[j], slots[i]
-    return from_edges(n, slots[:m])
+    return slots[:m]
+
+
+def _sample_gnm(rng: Xoshiro256StarStar, n: int, m: int) -> Graph:
+    return from_edges(n, _draw_slots(rng, list(combinations(range(n), 2)), m))
 
 
 def _sample_regular(rng: Xoshiro256StarStar, n: int, k: int) -> Graph:
@@ -147,12 +151,7 @@ def _sample_bipartite_gnp(rng: Xoshiro256StarStar, n: int, p: Fraction) -> Bipar
 def _sample_bipartite_gnm(rng: Xoshiro256StarStar, n: int, m: int) -> BipartiteGraph:
     half = n // 2
     slots = [(a, b) for a in range(half) for b in range(half)]
-    if not 0 <= m <= len(slots):
-        raise ValueError(f"m = {m} outside 0..{len(slots)}")
-    for i in range(m):
-        j = i + rng.below(len(slots) - i)
-        slots[i], slots[j] = slots[j], slots[i]
-    return bipartite_from_edges(half, half, slots[:m])
+    return bipartite_from_edges(half, half, _draw_slots(rng, slots, m))
 
 
 def sample(spec: RandomModelSpec) -> Graph | BipartiteGraph:
@@ -186,13 +185,7 @@ class TightFamilyCertificate:
         """Exact check that the representations intersect to the graph."""
         if len(self.reps) != self.claimed_upper:
             return False
-        n = self.graph.n
-        inter = [full_mask(n) & ~(1 << v) for v in range(n)]
-        for rep in self.reps:
-            realized = realize(rep, n)
-            for v in range(n):
-                inter[v] &= realized.rows[v]
-        return tuple(inter) == self.graph.rows
+        return intersect_realized(self.reps, self.graph.n) == self.graph.rows
 
 
 def _offset(v: int, n: int) -> Fraction:

@@ -117,6 +117,17 @@ def realize(rep: IntervalRep, n: int) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def intersect_realized(reps, n: int) -> tuple[int, ...]:
+    """Rows of the intersection of the graphs the representations
+    realize; with no representation, the complete graph."""
+    inter = [full_mask(n) & ~(1 << v) for v in range(n)]
+    for rep in reps:
+        realized = realize(rep, n)
+        for v in range(n):
+            inter[v] &= realized.rows[v]
+    return tuple(inter)
+
+
 def induced_numbering(rep: IntervalRep) -> Ordering:
     """Vertices ranked by right endpoint."""
     order = sorted(range(rep.n), key=lambda v: rep.intervals[v][1])
@@ -248,16 +259,10 @@ def verify_box_certificate(g: Graph, cert: BoxCertificate) -> bool:
     """Exact re-check: edge intersection and numbering consistency."""
     if cert.k != len(cert.orderings) or cert.k != len(cert.reps):
         return False
-    if cert.k == 0:
-        return is_complete(g)
-    inter = [full_mask(g.n) & ~(1 << v) for v in range(g.n)]
-    for ordering, rep in zip(cert.orderings, cert.reps):
-        if induced_numbering(rep) != ordering:
-            return False
-        realized = realize(rep, g.n)
-        for v in range(g.n):
-            inter[v] &= realized.rows[v]
-    return tuple(inter) == g.rows
+    if any(induced_numbering(rep) != ordering
+           for ordering, rep in zip(cert.orderings, cert.reps)):
+        return False
+    return intersect_realized(cert.reps, g.n) == g.rows
 
 
 def _nonedge_list(g: Graph) -> list[tuple[int, int]]:

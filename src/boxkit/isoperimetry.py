@@ -21,26 +21,30 @@ L(lo, k) = ({lo} + L(lo + 1, k - 1)) ++ L(lo + 1, k), which _fill_layers
 follows in place one vertex at a time, with no sort and no gather;
 _layers names each position's subset by its mask, and _split_layouts
 holds the two half layouts of one n, shared by the profile and the
-supergraph DP.  A set X is the pair (X & L, X & H), so any union of
-rows over X is the OR of two half-size table entries.  iso_profile
-scans those pairs a bounded chunk of high-half subsets at a time
-(_CHUNK_ENTRIES entries, whatever n is), and the DP keeps its table in
-the same (high half x low half) shape.
+supergraph DP.
+
+Each profile value is the least size of a union of k rows, and two
+scans find it.  _least_unions takes every size over split halves, for
+iso_profile: a set X is the pair (X & L, X & H), so a union over X is
+the OR of two half-table entries, scanned _CHUNK_ENTRIES at a time; the
+supergraph DP keeps its table in the same (high half x low half) shape.
+_least_union takes one size k by prefix scan, over rows of any width,
+for min_boundary, max_strong_boundary and the expansion bounds.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, pairwise
+from itertools import accumulate, pairwise
 from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-from .bitset import mask_of, popcount
 from .errors import PROFILE_MAX_VERTICES, check_subset_budget, check_vertex_cap
-from .graphs import Graph, strong_vertex_boundary, vertex_boundary
+from .graphs import Graph
 
 
 def _layer_starts(n: int) -> tuple[int, ...]:
@@ -126,8 +130,9 @@ def _half_tables(rows) -> tuple[np.ndarray, np.ndarray]:
     return tables[0], tables[1]
 
 
-# Entries of the largest temporary the profile allocates: the vertex
-# subsets are scanned a block of high-half rows at a time.
+# Entries of the largest temporary a scan allocates: the profile scans
+# the vertex subsets a block of high-half rows at a time, and
+# _least_union its last stage a chunk of sets at a time.
 _CHUNK_ENTRIES = 1 << 18
 
 
@@ -254,34 +259,71 @@ def complement_profile(profile: IsoProfile) -> IsoProfile:
     )
 
 
-def min_boundary(g: Graph, k: int) -> tuple[int, int]:
-    """Minimum |Gamma(X)| over |X| = k, with its first witness.
+def _colex_stage(prev: np.ndarray, rows: np.ndarray, counts: list[int],
+                 e0: int, e1: int) -> np.ndarray:
+    """Entries e0 .. e1 - 1 of one stage of _least_union, in colex order:
+    counts[i] sets end in rows[i], each prev's entry for the set without
+    it (one of prev's first counts[i]) ORed with rows[i]."""
+    ends = list(accumulate(counts))
+    i0, i1 = bisect_right(ends, e0), bisect_left(ends, e1) + 1
+    parts = [prev[max(e0 - end + count, 0):min(e1 - end + count, count)]
+             for end, count in zip(ends[i0:i1], counts[i0:i1])]
+    out = np.concatenate(parts)
+    out |= np.repeat(rows[i0:i1], [len(part) for part in parts], axis=0)
+    return out
 
-    Scanning combinations in lexicographic order and keeping strict
-    improvements makes the witness the lexicographically smallest
-    minimizer.
+
+def _least_union(rows, k: int) -> tuple[int, int]:
+    """The least |rows[x1] | ... | rows[xk]| over the k-subsets X of
+    range(len(rows)), with its lexicographically smallest witness X.
+
+    The rows, split into 64-bit words, are taken in reverse order, and
+    the unions are built one member at a time in colex order, keeping
+    only the sets that can still grow to size k: at stage s, counts[i]
+    sets have largest member s - 1 + i, for i = 0 .. n - k.  The last
+    stage is reduced _CHUNK_ENTRIES words at a time.  Colex order over
+    the reversed rows is reverse lexicographic order, so the last
+    minimum is the witness, unranked from its colex index.
     """
-    if not 1 <= k <= g.n:
-        raise ValueError(f"subset size {k} outside 1..{g.n}")
-    check_subset_budget(g.n, k)
-    best, best_mask = g.n + 1, 0
-    for combo in combinations(range(g.n), k):
-        x = mask_of(combo)
-        value = popcount(vertex_boundary(g, x))
-        if value < best:
-            best, best_mask = value, x
-    return best, best_mask
+    n = len(rows)
+    if not 1 <= k <= n:
+        raise ValueError(f"subset size {k} outside 1..{n}")
+    check_subset_budget(n, k)
+    words = max(1, (max(rows).bit_length() + 63) // 64)
+    table = np.frombuffer(b"".join(row.to_bytes(8 * words, "little") for row in reversed(rows)),
+                          dtype="<u8").reshape(n, words)
+    reach = np.zeros((1, words), dtype=np.uint64)
+    counts = [1] * (n - k + 1)
+    for size in range(1, k):
+        reach = _colex_stage(reach, table[size - 1:], counts, 0, sum(counts))
+        counts = list(accumulate(counts))
+    best, last, total = 64 * words + 1, 0, sum(counts)
+    step = max(1, _CHUNK_ENTRIES // words)
+    for e0 in range(0, total, step):
+        stage = _colex_stage(reach, table[k - 1:], counts, e0, min(total, e0 + step))
+        union = np.bitwise_count(stage).sum(axis=1)
+        if (value := int(union.min())) <= best:
+            best, last = value, e0 + len(union) - 1 - int(union[::-1].argmin())
+    witness, x = 0, n
+    for size in range(k, 0, -1):
+        x -= 1
+        while comb(x, size) > last:
+            x -= 1
+        last -= comb(x, size)
+        witness |= 1 << n - 1 - x
+    return best, witness
+
+
+def min_boundary(g: Graph, k: int) -> tuple[int, int]:
+    """Minimum |Gamma(X)| over |X| = k, with its lexicographically
+    smallest witness: the least closed-neighbourhood union, minus k."""
+    value, witness = _least_union([row | 1 << v for v, row in enumerate(g.rows)], k)
+    return value - k, witness
 
 
 def max_strong_boundary(g: Graph, k: int) -> tuple[int, int]:
-    """Maximum |GammaS(X)| over |X| = k, with its first witness."""
-    if not 1 <= k <= g.n:
-        raise ValueError(f"subset size {k} outside 1..{g.n}")
-    check_subset_budget(g.n, k)
-    best, best_mask = -1, 0
-    for combo in combinations(range(g.n), k):
-        x = mask_of(combo)
-        value = popcount(strong_vertex_boundary(g, x))
-        if value > best:
-            best, best_mask = value, x
-    return best, best_mask
+    """Maximum |GammaS(X)| over |X| = k, with its lexicographically
+    smallest witness: n minus the least union of the complement's closed
+    neighbourhoods."""
+    value, witness = _least_union([g.vertices & ~row for row in g.rows], k)
+    return g.n - value, witness

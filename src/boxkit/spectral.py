@@ -25,9 +25,10 @@ from .reports import BoundReport, bound_report, not_applicable
 
 SPECTRAL = "spectral"
 
-# Residual any reported spectrum must meet, and the magnitude below which
-# an eigenvalue is treated as exactly zero (rejecting the bound rather
-# than dividing by noise).
+# The residual the tests hold every reported spectrum to (the product
+# reports the residual but does not check it yet), and the magnitude
+# below which an eigenvalue is treated as exactly zero (rejecting the
+# bound rather than dividing by noise).
 RESIDUAL_TOL = 1e-8
 EIGENVALUE_ZERO_TOL = 1e-9
 

@@ -6,6 +6,7 @@ from math import floor
 import pytest
 from hypothesis import given, settings
 
+from boxkit import expansion_bounds
 from boxkit.bitset import full_mask, mask_of, popcount
 from boxkit.errors import BudgetExceededError
 from boxkit.graphs import (
@@ -356,6 +357,24 @@ def test_best_expansion_bound_uses_bipartition():
 def test_best_expansion_bound_rejects_bad_t_max():
     with pytest.raises(ValueError):
         best_expansion_bound(cycle(4), t_max=0)
+
+
+def test_best_expansion_bound_candidates_meet_the_scan_preconditions():
+    # no core vertex dominates the core once universal vertices are
+    # stripped, and the bipartite candidates drop their dominating
+    # vertices, so every candidate is scanned for every t up to |s1|
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            best_expansion_bound(g, t_max=n)
+
+
+def test_best_expansion_bound_raises_on_a_malformed_candidate(monkeypatch):
+    def refuse(*args):
+        raise ValueError("malformed candidate")
+
+    monkeypatch.setattr(expansion_bounds, "certify_expansion_bound", refuse)
+    with pytest.raises(ValueError, match="malformed candidate"):
+        best_expansion_bound(cycle(5))
 
 
 @given(graphs(min_n=1, max_n=6))

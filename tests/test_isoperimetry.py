@@ -1,8 +1,11 @@
+import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
+from boxkit import isoperimetry
 from boxkit.bitset import mask_of, popcount
 from boxkit.errors import PROFILE_MAX_VERTICES, BudgetExceededError
 from boxkit.graphs import (
@@ -13,6 +16,7 @@ from boxkit.graphs import (
     vertex_boundary,
 )
 from boxkit.isoperimetry import (
+    _least_union,
     iso_profile,
     max_strong_boundary,
     min_boundary,
@@ -108,3 +112,76 @@ def test_budget_guards():
         iso_profile(empty_graph(PROFILE_MAX_VERTICES + 1))
     with pytest.raises(BudgetExceededError):
         min_boundary(empty_graph(40), 20)
+
+
+def _loop_least_union(rows, k):
+    """The least union of k rows and its first witness, scanning
+    combinations in lexicographic order with strict improvements only."""
+    best = None
+    for combo in combinations(range(len(rows)), k):
+        union = 0
+        for x in combo:
+            union |= rows[x]
+        if best is None or popcount(union) < best[0]:
+            best = (popcount(union), mask_of(combo))
+    return best
+
+
+def _random_rows(seed, count, width):
+    rng = random.Random(seed)
+    # ANDing two draws thins the rows, so unions tie more often
+    return [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(count)]
+
+
+@pytest.mark.parametrize("width", [5, 70, 130])
+def test_least_union_matches_loop(width):
+    # one, two and three 64-bit words per row
+    for seed, count in enumerate((1, 2, 7, 11, 12)):
+        rows = _random_rows(seed, count, width)
+        for k in range(1, count + 1):
+            assert _least_union(rows, k) == _loop_least_union(rows, k), (seed, k)
+
+
+def test_least_union_witness_is_lexicographically_first():
+    # every 2-subset of equal rows ties, and zero rows tie at 0
+    assert _least_union([3, 3, 3, 3], 2) == (2, 0b0011)
+    assert _least_union([7, 0, 5, 0, 0], 2) == (0, 0b01010)
+    assert _least_union([0] * 9, 9) == (0, (1 << 9) - 1)
+
+
+@pytest.mark.parametrize("entries", [1, 2, 7])
+def test_least_union_matches_loop_across_chunks(monkeypatch, entries):
+    # chunks of 1 to 7 words split the last stage at many places, and
+    # rows of 130 bits hold three words each
+    monkeypatch.setattr(isoperimetry, "_CHUNK_ENTRIES", entries)
+    for width in (5, 70, 130):
+        rows = _random_rows(width, 10, width)
+        for k in range(1, 11):
+            assert _least_union(rows, k) == _loop_least_union(rows, k), (width, k)
+
+
+def test_least_union_last_stage_stays_within_the_chunk(monkeypatch):
+    # C(60, 3) = 34220 sets in the last stage, against 1711 in the one
+    # before; held whole, one stage array of 8-byte words is 267 KB
+    monkeypatch.setattr(isoperimetry, "_CHUNK_ENTRIES", 1 << 10)
+    rows = _random_rows(3, 60, 60)
+    expected = _loop_least_union(rows, 3)
+    tracemalloc.start()
+    try:
+        result = _least_union(rows, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == expected
+    assert peak < 1 << 17
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used before the budget check")
+
+
+def test_least_union_budget_raises_before_any_array(monkeypatch):
+    monkeypatch.setattr(isoperimetry, "np", _NoNumpy())
+    with pytest.raises(BudgetExceededError, match=r"C\(40,8\) subsets exceed"):
+        _least_union([1 << v for v in range(40)], 8)

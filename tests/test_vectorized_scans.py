@@ -1,4 +1,4 @@
-"""The numpy supergraph DP, min-reach scan, isoperimetric profile and
+"""The numpy supergraph DP, least-union scans, isoperimetric profile and
 adjacency matrix against the loops and scans they replaced, kept here as
 oracles.  The split-half supergraph DP is also checked against the
 layered numpy DP it replaced, which reaches sizes the plain loop does
@@ -11,15 +11,13 @@ from math import comb
 import numpy as np
 import pytest
 
-from boxkit import expansion_bounds
 from boxkit.bitset import mask_of, members, popcount
 from boxkit.errors import (
     PROFILE_MAX_VERTICES,
     SUPERGRAPH_MAX_VERTICES,
-    BudgetExceededError,
     check_subset_budget,
 )
-from boxkit.expansion_bounds import _min_reach
+from boxkit.expansion_bounds import co_expansion_table, cross_expansion
 from boxkit.families import (
     RandomModelSpec,
     bipartite_tight_family,
@@ -31,6 +29,7 @@ from boxkit.families import (
 from boxkit.graphs import (
     BipartiteGraph,
     bipartition,
+    closed_neighborhood,
     complement,
     complete_graph,
     empty_graph,
@@ -50,8 +49,11 @@ from boxkit.isoperimetry import (
     _fill_layers,
     _layer_starts,
     _layers,
+    _least_union,
     complement_profile,
     iso_profile,
+    max_strong_boundary,
+    min_boundary,
 )
 from boxkit.spectral import adjacency_matrix
 
@@ -131,6 +133,13 @@ def _loop_min_reach(co, pool, target_side, j):
         if best is None or reach < best:
             best = reach
     return best
+
+
+def _loop_cross_expansion(g, pool, target_side, t):
+    """beta_t by scanning every t-subset of the pool."""
+    covered = min(popcount(closed_neighborhood(g, mask_of(combo)) & target_side)
+                  for combo in combinations(pool, t))
+    return Fraction(covered, popcount(target_side))
 
 
 def _mask_order_table(rows, n, use_and):
@@ -215,8 +224,20 @@ def _assert_matches_oracles(g):
     co = complement(g)
     for pool_mask, target in _splits(g):
         pool = members(pool_mask)
-        for j in range(1, len(pool) + 1):
-            assert _min_reach(co, pool, target, j) == _loop_min_reach(co, pool, target, j), j
+        if not (pool and target):  # an edgeless graph's side B is empty
+            continue
+        assert co_expansion_table(g, pool_mask, target, len(pool)) == tuple(
+            _loop_min_reach(co, pool, target, j) for j in range(1, len(pool) + 1))
+        for t in range(1, min(2, len(pool)) + 1):
+            assert cross_expansion(g, pool_mask, target, t) == _loop_cross_expansion(
+                g, pool, target, t)
+    # the single-size queries read the same extrema as the profile
+    profile = iso_profile(g)
+    for k in range(1, g.n):
+        assert min_boundary(g, k) == (profile.min_boundary[k - 1],
+                                      profile.min_boundary_witness[k - 1])
+        assert max_strong_boundary(g, k) == (profile.max_strong_boundary[k - 1],
+                                             profile.max_strong_boundary_witness[k - 1])
 
 
 def _drawn(n):
@@ -344,20 +365,9 @@ def test_min_reach_matches_loop_past_one_word():
                               (mask_of(range(0, 70, 2)), mask_of(range(1, 70, 2))),
                               (mask_of(range(60, 70)), mask_of(range(64)))]:
         pool = members(pool_mask)
+        reach = [co.rows[v] & target for v in pool]
         for j in (1, 2, len(pool) - 1, len(pool)):
-            assert _min_reach(co, pool, target, j) == _loop_min_reach(co, pool, target, j)
-
-
-class _NoNumpy:
-    def __getattr__(self, name):
-        raise AssertionError(f"numpy.{name} used before the budget check")
-
-
-def test_min_reach_budget_raises_before_any_array(monkeypatch):
-    g = sample(RandomModelSpec("gnp", 40, 1, p=Fraction(1, 2)))
-    monkeypatch.setattr(expansion_bounds, "np", _NoNumpy())
-    with pytest.raises(BudgetExceededError, match=r"C\(40,8\) subsets exceed"):
-        _min_reach(complement(g), members(g.vertices), g.vertices, 8)
+            assert _least_union(reach, j)[0] == _loop_min_reach(co, pool, target, j)
 
 
 def test_boxicity_exact_rejects_negative_cap():
