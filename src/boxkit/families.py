@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .graphs import (
 from .intervals import IntervalRep, intersect_realized
 from .rng import Xoshiro256StarStar
 
-MODELS = ("gnp", "gnm", "regular", "bipartite_gnp", "bipartite_gnm")
 REGULAR_RESTART_BUDGET = 10**6
 ENUMERATION_MAX_VERTICES = 6
 
@@ -52,26 +52,20 @@ class RandomModelSpec:
     k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.model not in MODELS:
+        model = RANDOM_MODELS.get(self.model)
+        if model is None:
             raise ValueError(f"unknown model {self.model!r}")
         check_vertex_count(self.n)
-        if self.model.startswith("bipartite") and self.n % 2:
+        if model.bipartite and self.n % 2:
             raise ValueError("bipartite models need an even vertex count")
-        if self.model.endswith("gnp"):
-            if self.p is None or not 0 <= self.p <= 1:
-                raise ValueError("gnp models need p in [0, 1]")
-        if self.model.endswith("gnm") and self.m is None:
-            raise ValueError("gnm models need an edge count m")
-        if self.model == "regular" and (self.k is None or self.k < 0):
-            raise ValueError("the regular model needs a degree k")
+        need, valid = PARAMETERS[model.parameter]
+        value = getattr(self, model.parameter)
+        if value is None or not valid(value):
+            raise ValueError(f"the {self.model} model needs {need}")
 
     def parameter(self) -> str:
         """The swept parameter as text, for result rows."""
-        if self.model.endswith("gnp"):
-            return str(self.p)
-        if self.model.endswith("gnm"):
-            return str(self.m)
-        return str(self.k)
+        return str(getattr(self, RANDOM_MODELS[self.model].parameter))
 
 
 def _sample_gnp(rng: Xoshiro256StarStar, n: int, p: Fraction) -> Graph:
@@ -154,18 +148,37 @@ def _sample_bipartite_gnm(rng: Xoshiro256StarStar, n: int, m: int) -> BipartiteG
     return bipartite_from_edges(half, half, _draw_slots(rng, slots, m))
 
 
+class RandomModel(NamedTuple):
+    """How a model reads its spec: the RandomModelSpec field holding its
+    parameter, and the sampler that draws from (rng, n, parameter)."""
+
+    parameter: str
+    sampler: Callable
+    bipartite: bool = False
+
+
+# The one place a random model is added, keyed by its name.
+RANDOM_MODELS = {
+    "gnp": RandomModel("p", _sample_gnp),
+    "gnm": RandomModel("m", _sample_gnm),
+    "regular": RandomModel("k", _sample_regular),
+    "bipartite_gnp": RandomModel("p", _sample_bipartite_gnp, bipartite=True),
+    "bipartite_gnm": RandomModel("m", _sample_bipartite_gnm, bipartite=True),
+}
+MODELS = tuple(RANDOM_MODELS)
+# What each model parameter must hold, as (description, check).
+PARAMETERS = {
+    "p": ("an edge probability p in [0, 1]", lambda p: 0 <= p <= 1),
+    "m": ("an edge count m", lambda m: True),
+    "k": ("a degree k >= 0", lambda k: k >= 0),
+}
+
+
 def sample(spec: RandomModelSpec) -> Graph | BipartiteGraph:
     """Draw the graph the spec pins down."""
-    rng = Xoshiro256StarStar(spec.seed)
-    if spec.model == "gnp":
-        return _sample_gnp(rng, spec.n, spec.p)
-    if spec.model == "gnm":
-        return _sample_gnm(rng, spec.n, spec.m)
-    if spec.model == "regular":
-        return _sample_regular(rng, spec.n, spec.k)
-    if spec.model == "bipartite_gnp":
-        return _sample_bipartite_gnp(rng, spec.n, spec.p)
-    return _sample_bipartite_gnm(rng, spec.n, spec.m)
+    model = RANDOM_MODELS[spec.model]
+    return model.sampler(Xoshiro256StarStar(spec.seed), spec.n,
+                         getattr(spec, model.parameter))
 
 
 # --- extremal constructions ---------------------------------------------
@@ -331,8 +344,14 @@ def _canonical_pair_masks(n: int) -> tuple[int, ...]:
 
     Canonical form is the numeric minimum, over all vertex permutations,
     of the bitmask indexed by the lexicographic pair order.  All 2^C(n,2)
-    graphs are canonicalized at once with vectorized bit shuffles.
+    graphs are canonicalized at once with vectorized bit shuffles, so n
+    is capped at ENUMERATION_MAX_VERTICES before any array is built.
     """
+    if n < 1:
+        raise ValueError(f"need at least one vertex, got n = {n}")
+    if n > ENUMERATION_MAX_VERTICES:
+        raise BudgetExceededError(
+            f"exhaustive enumeration capped at n <= {ENUMERATION_MAX_VERTICES}")
     pair_index = {p: i for i, p in enumerate(combinations(range(n), 2))}
     n_pairs = len(pair_index)
     masks = np.arange(1 << n_pairs, dtype=np.uint32)
@@ -348,9 +367,6 @@ def _canonical_pair_masks(n: int) -> tuple[int, ...]:
 
 def enumerate_graphs(n: int):
     """Yield one representative per isomorphism class on n vertices."""
-    if not 1 <= n <= ENUMERATION_MAX_VERTICES:
-        raise BudgetExceededError(
-            f"exhaustive enumeration capped at n <= {ENUMERATION_MAX_VERTICES}")
     for mask in _canonical_pair_masks(n):
         yield from_pair_mask(n, mask)
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import BudgetExceededError
@@ -24,7 +25,7 @@ from .expansion_bounds import (
     best_expansion_bound,
     universal_bound,
 )
-from .families import MODELS, RandomModelSpec, sample
+from .families import PARAMETERS, RANDOM_MODELS, RandomModelSpec, sample
 from .graphs import BipartiteGraph, Graph
 from .reports import BoundReport, not_applicable
 from .rng import derive_seed
@@ -54,7 +55,6 @@ BOUNDS = {
     EXPANSION: lambda g, t_max: best_expansion_bound(g, t_max=t_max),
 }
 ALL_BOUNDS = tuple(BOUNDS)
-CSV_HEADER = "seed,model,n,m,param,bound_name,value,ceiling,runtime_ms"
 
 
 def _select_bounds(selection) -> tuple[str, ...]:
@@ -108,22 +108,16 @@ class ResultRow:
     runtime_ms: int
 
     def csv_line(self) -> str:
-        ceiling = "" if self.ceiling is None else str(self.ceiling)
-        return (f"{self.seed},{self.model},{self.n},{self.m},{self.param},"
-                f"{self.bound_name},{self.value},{ceiling},{self.runtime_ms}")
+        return ",".join(["" if v is None else str(v) for v in _row_values(self)])
 
     def json_object(self) -> dict:
-        return {
-            "seed": self.seed,
-            "model": self.model,
-            "n": self.n,
-            "m": self.m,
-            "param": self.param,
-            "bound_name": self.bound_name,
-            "value": self.value,
-            "ceiling": self.ceiling,
-            "runtime_ms": self.runtime_ms,
-        }
+        return dict(zip(_ROW_FIELDS, _row_values(self)))
+
+
+# The CSV columns and JSON keys, in field order.
+_ROW_FIELDS = tuple(f.name for f in fields(ResultRow))
+_row_values = attrgetter(*_ROW_FIELDS)
+CSV_HEADER = ",".join(_ROW_FIELDS)
 
 
 def _value_text(report: BoundReport) -> str:
@@ -170,7 +164,7 @@ class ExperimentConfig:
     record_runtime: bool = False
 
     def __post_init__(self) -> None:
-        if self.model not in MODELS:
+        if self.model not in RANDOM_MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if not self.n_values:
             raise ValueError("need at least one n value")
@@ -182,35 +176,21 @@ class ExperimentConfig:
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
         _check_t_max(self.t_max)
-        want_p = self.model.endswith("gnp")
-        want_m = self.model.endswith("gnm")
-        want_k = self.model == "regular"
-        if want_p != bool(self.p_values):
-            raise ValueError("p list must be given exactly for gnp models")
-        if want_m != bool(self.m_values):
-            raise ValueError("m list must be given exactly for gnm models")
-        if want_k != bool(self.k_values):
-            raise ValueError("k list must be given exactly for the regular model")
+        wanted = RANDOM_MODELS[self.model].parameter
+        for name in PARAMETERS:
+            if (name == wanted) != bool(getattr(self, f"{name}_values")):
+                raise ValueError(
+                    f"the {self.model} model takes a {wanted} list and no other")
 
     def parameter_values(self) -> tuple:
-        if self.p_values:
-            return self.p_values
-        if self.m_values:
-            return self.m_values
-        return self.k_values
+        return getattr(self, f"{RANDOM_MODELS[self.model].parameter}_values")
 
     def cell_specs(self):
         """Grid cells in emission order: n outer, model parameter inner."""
+        name = RANDOM_MODELS[self.model].parameter
         for n in self.n_values:
             for value in self.parameter_values():
-                kwargs = {}
-                if self.p_values:
-                    kwargs["p"] = value
-                elif self.m_values:
-                    kwargs["m"] = value
-                else:
-                    kwargs["k"] = value
-                yield n, str(value), kwargs
+                yield n, str(value), {name: value}
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -91,16 +91,6 @@ class Ordering:
         return Ordering(tuple(ranks))
 
 
-def prefix_masks(ordering: Ordering) -> list[int]:
-    """Masks of the first k vertices, k = 1 .. n."""
-    out = []
-    acc = 0
-    for v in ordering.sequence():
-        acc |= 1 << v
-        out.append(acc)
-    return out
-
-
 def realize(rep: IntervalRep, n: int) -> Graph:
     """Graph realized by an interval representation."""
     if rep.n != n:

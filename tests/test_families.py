@@ -1,13 +1,18 @@
 """Random models, tight constructions, and exhaustive enumeration."""
 
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 
+from boxkit import families
 from boxkit.bitset import popcount
+from boxkit.edgelist import format_edge_list
 from boxkit.errors import BudgetExceededError
 from boxkit.families import (
+    ENUMERATION_MAX_VERTICES,
+    MODELS,
     RandomModelSpec,
     TightFamilyCertificate,
     bipartite_tight_family,
@@ -22,6 +27,8 @@ from boxkit.families import (
 from boxkit.graphs import BipartiteGraph, Graph, complete_graph, degree_summary
 from boxkit.rng import derive_seed
 
+from .test_isoperimetry import _NoNumpy
+
 CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 
 
@@ -35,6 +42,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         RandomModelSpec("bipartite_gnp", 7, 0, p=Fraction(1, 2))
     with pytest.raises(ValueError):
+        RandomModelSpec("bipartite_gnm", 7, 0, m=3)
+    with pytest.raises(ValueError):
         RandomModelSpec("gnp", 5, 0)
     with pytest.raises(ValueError):
         RandomModelSpec("gnp", 5, 0, p=Fraction(3, 2))
@@ -44,6 +53,9 @@ def test_spec_validation():
         RandomModelSpec("regular", 5, 0)
     with pytest.raises(ValueError):
         RandomModelSpec("regular", 5, 0, k=-1)
+    for model in MODELS:
+        with pytest.raises(ValueError):
+            RandomModelSpec(model, 6, 0)
 
 
 def test_spec_parameter_text():
@@ -52,17 +64,29 @@ def test_spec_parameter_text():
     assert RandomModelSpec("regular", 8, 0, k=3).parameter() == "3"
 
 
+# sha256 of each model's edge list at seed 3, pinned when the samplers
+# were last changed on purpose.
+SAMPLE_DIGESTS = {
+    RandomModelSpec("gnp", 10, 3, p=Fraction(1, 3)):
+        "b36b9385c67e9420cb547e10951e66323e7ccfb94962abf7eaa7adc1b3c01895",
+    RandomModelSpec("gnm", 10, 3, m=17):
+        "f69af201745353271ca7735f608943ed3b3b31859c9d932a32c19515b73656ee",
+    RandomModelSpec("regular", 10, 3, k=3):
+        "dc44903da137e32060921fd35b8440d9c0e95520b68b8083cda3559b0bf5233a",
+    RandomModelSpec("bipartite_gnp", 10, 3, p=Fraction(1, 3)):
+        "4ec5c3223d0ec156e588424878696e51686b2c1a389143fd63e40705d847ce85",
+    RandomModelSpec("bipartite_gnm", 10, 3, m=11):
+        "94ce65d0bc3af8c1c6c50fc50b1481aad0db3a413c8dd23f199f84089199149a",
+}
+
+
 def test_samplers_are_deterministic():
-    specs = [
-        RandomModelSpec("gnp", 10, 3, p=Fraction(1, 3)),
-        RandomModelSpec("gnm", 10, 3, m=17),
-        RandomModelSpec("regular", 10, 3, k=3),
-        RandomModelSpec("bipartite_gnp", 10, 3, p=Fraction(1, 3)),
-        RandomModelSpec("bipartite_gnm", 10, 3, m=11),
-    ]
-    for spec in specs:
+    assert tuple(spec.model for spec in SAMPLE_DIGESTS) == MODELS
+    for spec, digest in SAMPLE_DIGESTS.items():
         first, second = sample(spec), sample(spec)
         assert first.rows == second.rows
+        g = first.to_graph() if isinstance(first, BipartiteGraph) else first
+        assert hashlib.sha256(format_edge_list(g).encode()).hexdigest() == digest
 
 
 def test_different_seeds_give_different_graphs():
@@ -233,5 +257,15 @@ def test_enumeration_edge_histogram():
 def test_enumeration_budget():
     with pytest.raises(BudgetExceededError):
         list(enumerate_graphs(7))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(ValueError):
         list(enumerate_graphs(0))
+    with pytest.raises(ValueError):
+        isomorphism_class_count(0)
+
+
+def test_class_count_cap_raises_before_any_array(monkeypatch):
+    monkeypatch.setattr(families, "np", _NoNumpy())
+    with pytest.raises(BudgetExceededError, match=f"capped at n <= {ENUMERATION_MAX_VERTICES}"):
+        isomorphism_class_count(ENUMERATION_MAX_VERTICES + 1)
+    with pytest.raises(BudgetExceededError, match=f"capped at n <= {ENUMERATION_MAX_VERTICES}"):
+        list(enumerate_graphs(ENUMERATION_MAX_VERTICES + 1))

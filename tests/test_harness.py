@@ -16,7 +16,14 @@ from boxkit.edgelist import (
     read_edge_list,
     write_edge_list,
 )
-from boxkit.families import RandomModelSpec, complement_cycle, enumerate_graphs, sample
+from boxkit.families import (
+    MODELS,
+    RANDOM_MODELS,
+    RandomModelSpec,
+    complement_cycle,
+    enumerate_graphs,
+    sample,
+)
 from boxkit.graphs import complement, complete_graph, cycle, empty_graph
 from boxkit.harness import (
     ALL_BOUNDS,
@@ -133,6 +140,14 @@ def test_readme_bound_table_is_the_registry():
     start = readme.index("| name | idea | typical certificate |")
     table = readme[start:readme.index("\n\n", start)].splitlines()[2:]
     assert [re.match(r"\| `(\w+)` \|", row).group(1) for row in table] == list(ALL_BOUNDS)
+
+
+def test_readme_model_table_is_the_registry():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = readme.index("| model | key | graph drawn |")
+    table = readme[start:readme.index("\n\n", start)].splitlines()[2:]
+    rows = [re.match(r"\| `(\w+)` \| `(\w)` \|", row).groups() for row in table]
+    assert rows == [(name, model.parameter) for name, model in RANDOM_MODELS.items()]
 
 
 def _closed_rows(g):
@@ -333,6 +348,28 @@ def test_experiment_config_parameter_exclusivity():
     with pytest.raises(ValueError):
         ExperimentConfig(model="regular", n_values=(6,), seeds=1, master_seed=0,
                          bounds=("universal",), p_values=(Fraction(1, 2),))
+
+
+# The parameter list each model reads, spelled out apart from the registry.
+MODEL_LISTS = {"gnp": "p_values", "gnm": "m_values", "regular": "k_values",
+               "bipartite_gnp": "p_values", "bipartite_gnm": "m_values"}
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_experiment_config_takes_exactly_the_models_list(model):
+    assert tuple(MODEL_LISTS) == MODELS
+    lists = {"p_values": (Fraction(1, 2),), "m_values": (4,), "k_values": (2,)}
+    own = MODEL_LISTS[model]
+    common = dict(model=model, n_values=(6,), seeds=1, master_seed=0,
+                  bounds=("universal",))
+    config = ExperimentConfig(**common, **{own: lists[own]})
+    assert config.parameter_values() == lists[own]
+    assert [kwargs for _, _, kwargs in config.cell_specs()] == [{own[0]: lists[own][0]}]
+    with pytest.raises(ValueError):
+        ExperimentConfig(**common)
+    for other in sorted(lists.keys() - {own}):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**common, **{own: lists[own], other: lists[other]})
 
 
 # --- running experiments -----------------------------------------------------------
