@@ -103,6 +103,8 @@ def _cmd_exact(args) -> int:
     print(f"m={g.edge_count}")
     print(f"boxicity={result.value}")
     print(f"certificate_verified={int(ok)}")
+    if not ok:
+        raise ValueError("the boxicity certificate failed verification")
     return 0
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import pairwise
+from math import factorial
 from typing import NamedTuple
 
 import numpy as np
@@ -275,78 +276,77 @@ def _coverage_catalog(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
     orderings.  Placing x after the set P omits the non-edge {x, y}
     exactly when no vertex of N[y] lies in P, so the omitted mask grows
     by term[P, x], a table over all 2^n placed sets built with one
-    array pass per y.  Each state (P, mask) keeps its lexicographically
-    first prefix, packed in base n with the first vertex most
-    significant so that integer order is lex order; any later prefix
-    reaching the same state has the same completions, so every final
-    mask keeps the first ordering that reaches it.
+    array pass per y.  Such a y lies outside P, so a non-edge enters the
+    mask only when its first endpoint is placed: term[P, x] never meets
+    the mask so far.  Each state (P, mask) keeps its lexicographically
+    first prefix; any later prefix reaching the same state has the same
+    completions, so every final mask keeps the first ordering that
+    reaches it.
 
-    The DP is layered: each step places one more vertex in every state
-    at once with numpy.  States are held in ascending code order and
-    extended state-major with x ascending, so the candidate codes come
-    out ascending too; a stable sort on the (P, mask) key then puts the
-    smallest code first in each run of equal keys, and only that one is
-    kept, picked out by a boolean mask so that the kept states stay in
-    code order.  The maximal masks are peeled off the final layer in
-    order of decreasing popcount, then increasing mask: the head is
-    never contained in a later mask, so it is kept, and every mask it
-    contains is dropped.  Sets, masks and codes are int32 while C(n, 2) mask bits
-    and n^n codes fit, which covers BOX_MAX_VERTICES, and int64 above;
-    the (P, mask) key is always int64.  Cached for the last graph only,
-    so that boxicity_exact builds it once across its calls to
-    boxicity_le.
+    A state is one uint64 word: from the top bit down P (n bits), the
+    mask (one bit per non-edge) and the prefix's Lehmer rank in
+    bitlen(n! - 1) bits.  Appending the j-th vertex outside P to a
+    prefix of length k makes the rank rank * (n - k) + j, so among
+    prefixes of one length rank order is lex order.  step[P, j] holds
+    that vertex's bit of P, its term in the mask field and j, none of
+    which the word has set, so each candidate is one addition to the
+    word with its rank scaled.  The DP is layered: one step extends
+    every state at once, sorts the candidate words in place and keeps
+    the first of each run of equal (P, mask).  Distinct prefixes have
+    distinct ranks, so that head has the smallest rank: the lex-first
+    prefix.  The maximal masks are peeled off the final layer in order
+    of decreasing popcount, then increasing mask: the head is never
+    contained in a later mask, so it is kept, and every mask it contains
+    is dropped.  A word needs n + nonedges + bitlen(n! - 1) <= 64 bits,
+    which every graph with n <= 9 meets; a wider graph raises ValueError.
+    Cached for the last graph only, so that boxicity_exact builds it
+    once across its calls to boxicity_le.
     """
     n = g.n
     nonedges = _nonedge_list(g)
     width = len(nonedges)
-    if n + width > 63:
-        raise ValueError(f"coverage catalog keys need n + nonedges <= 63, got {n + width}")
-    fits_int32 = n * (n - 1) // 2 < 31 and n**n < 1 << 31
-    dtype = np.int32 if fits_int32 else np.int64
-    vertex_bits = (1 << np.arange(n)).astype(dtype)
-    pair = np.zeros((n, n), dtype=dtype)
+    rank_bits = (factorial(n) - 1).bit_length()
+    if n + width + rank_bits > 64:
+        raise ValueError("coverage catalog words need n + nonedges + bitlen(n! - 1) <= 64, "
+                         f"got {n + width + rank_bits}")
+    pair = np.zeros((n, n), dtype=np.uint64)
     for i, (u, v) in enumerate(nonedges):
         pair[u, v] = pair[v, u] = 1 << i
-    every_set = np.arange(1 << n, dtype=dtype)
-    term = np.zeros((1 << n, n), dtype=dtype)
+    every_set = np.arange(1 << n)
+    term = np.zeros((1 << n, n), dtype=np.uint64)
     for y in range(n):
         term[(every_set & (g.rows[y] | 1 << y)) == 0] |= pair[:, y]
-    del every_set
-    placed = np.zeros(1, dtype=dtype)
-    mask = np.zeros(1, dtype=dtype)
-    code = np.zeros(1, dtype=dtype)
-    for _ in range(n):
-        state, x = np.divmod(np.flatnonzero((placed[:, None] & vertex_bits) == 0), n)
-        x = x.astype(dtype)
-        before = placed[state]
-        placed = before | vertex_bits[x]
-        mask = mask[state] | term[before, x]
-        code = code[state] * n + x
-        del state, x, before
-        key = placed.astype(np.int64)
-        key <<= width
-        key |= mask
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.empty(len(key), dtype=bool)
-        first[:1] = True
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        kept = np.zeros(len(key), dtype=bool)
-        kept[order[first]] = True
-        del key, order, first
-        placed, mask, code = placed[kept], mask[kept], code[kept]
-        del kept
+    step = term << rank_bits | 1 << (np.arange(n, dtype=np.uint64) + width + rank_bits)
+    # each row's vertices outside P first, in ascending order
+    outside_first = np.argsort(every_set[:, None] >> np.arange(n) & 1, axis=1, kind="stable")
+    step = np.take_along_axis(step, outside_first, axis=1) + np.arange(n, dtype=np.uint64)
+    del every_set, term, outside_first
+    rank_field = (1 << rank_bits) - 1
+    word = np.zeros(1, dtype=np.uint64)
+    for free in range(n, 0, -1):
+        word += (word & rank_field) * (free - 1)
+        # P fits in intp, so np.take need not copy the index
+        words = np.take(step[:, :free], (word >> width + rank_bits).view(np.intp), axis=0)
+        words += word[:, None]
+        del word
+        words = words.ravel()
+        words.sort()
+        head = words >> rank_bits
+        first = np.ones(len(head), dtype=bool)
+        np.not_equal(head[1:], head[:-1], out=first[1:])
+        del head
+        word = words[first]
+        del words, first
+    mask, code = word >> rank_bits & (1 << width) - 1, word & rank_field
     # bitwise_count is uint8, which would wrap under negation
-    rank = np.lexsort((mask, -np.bitwise_count(mask).astype(np.int8)))
-    mask, code = mask[rank], code[rank]
+    order = np.lexsort((mask, -np.bitwise_count(mask).astype(np.int8)))
+    mask, code = mask[order], code[order]
     maximal: list[tuple[int, tuple[int, ...]]] = []
     while len(mask):
-        head, packed = int(mask[0]), int(code[0])
-        seq = []
-        for _ in range(n):
-            packed, v = divmod(packed, n)
-            seq.append(v)
-        maximal.append((head, tuple(reversed(seq))))
+        head, rank = int(mask[0]), int(code[0])
+        unplaced = list(range(n))
+        seq = tuple(unplaced.pop(rank // factorial(n - 1 - k) % (n - k)) for k in range(n))
+        maximal.append((head, seq))
         outside = (mask | head) != head
         mask, code = mask[outside], code[outside]
     return tuple(maximal)

@@ -1,14 +1,28 @@
+import hashlib
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from boxkit import intervals
 from boxkit.bitset import bits, full_mask, popcount
 from boxkit.errors import BudgetExceededError
-from boxkit.families import RandomModelSpec, complete_multipartite, sample
-from boxkit.graphs import BipartiteGraph, complement, cycle, empty_graph, from_pair_mask
+from boxkit.families import (
+    RandomModelSpec,
+    cobipartite_tight_family,
+    complete_multipartite,
+    sample,
+)
+from boxkit.graphs import (
+    BipartiteGraph,
+    complement,
+    cycle,
+    empty_graph,
+    from_edges,
+    from_pair_mask,
+)
 from boxkit.intervals import (
     BOX_MAX_VERTICES,
     _coverage_catalog,
@@ -17,6 +31,8 @@ from boxkit.intervals import (
     boxicity_le,
     verify_box_certificate,
 )
+
+from .test_isoperimetry import _NoNumpy
 
 
 def _brute_coverage_catalog(g):
@@ -158,24 +174,67 @@ def test_catalog_matches_dict_dp_at_n8(model):
 
 @pytest.mark.parametrize("g", [cycle(9), _gnp(9, 1), _gnp(9, 2)], ids=["C9", "gnp9-1", "gnp9-2"])
 def test_catalog_matches_dict_dp_at_n9(g):
-    # past BOX_MAX_VERTICES, so sets, masks and codes are int64
+    # past BOX_MAX_VERTICES; C9 needs 9 + 27 + 19 = 55 of the word's 64 bits
     catalog = _coverage_catalog(g)
     assert list(catalog) == _dict_coverage_catalog(g)
     _assert_plain_ints(catalog)
 
 
+def _word_bits(n, nonedges):
+    return n + nonedges + (factorial(n) - 1).bit_length()
+
+
 def test_catalog_dtypes_have_headroom_at_the_exact_cap():
     n = BOX_MAX_VERTICES
-    pairs = comb(n, 2)
-    assert pairs <= 63, "omitted masks outgrow int64"
-    assert n**n <= 2**63, "packed orderings outgrow int64"
-    assert n + pairs <= 63, "(placed set, mask) keys outgrow int64"
+    assert _word_bits(n, comb(n, 2)) <= 64, "(placed set, mask, rank) words outgrow uint64"
 
 
 def test_catalog_refuses_keys_wider_than_int64():
     _coverage_catalog.cache_clear()
-    with pytest.raises(ValueError, match="n \\+ nonedges <= 63"):
+    with pytest.raises(ValueError, match=r"n \+ nonedges \+ bitlen\(n! - 1\) <= 64, got 92"):
         _coverage_catalog(empty_graph(11))
+
+
+def test_catalog_fills_all_64_bits_at_n9():
+    g = empty_graph(9)
+    assert _word_bits(9, comb(9, 2)) == 64
+    _coverage_catalog.cache_clear()
+    catalog = _coverage_catalog(g)
+    assert list(catalog) == _dict_coverage_catalog(g)
+    _assert_plain_ints(catalog)
+
+
+_C10_RING = [(v, (v + 1) % 10) for v in range(10)]
+
+
+def test_catalog_at_n10_with_thirteen_edges_fills_the_word():
+    g = from_edges(10, _C10_RING + [(0, 5), (2, 7), (4, 9)])
+    assert _word_bits(10, comb(10, 2) - g.edge_count) == 64
+    _coverage_catalog.cache_clear()
+    assert list(_coverage_catalog(g)) == _dict_coverage_catalog(g)
+
+
+def test_catalog_width_rule_raises_before_any_array(monkeypatch):
+    g = from_edges(10, _C10_RING + [(0, 5), (2, 7)])
+    assert _word_bits(10, comb(10, 2) - g.edge_count) == 65
+    monkeypatch.setattr(intervals, "np", _NoNumpy())
+    _coverage_catalog.cache_clear()
+    with pytest.raises(ValueError, match=r"n \+ nonedges \+ bitlen\(n! - 1\) <= 64, got 65"):
+        _coverage_catalog(g)
+
+
+def test_catalog_peak_memory_at_n9():
+    # one candidate word, its (P, mask) head and a keep flag per candidate
+    # (about 2 MB); a dozen per-candidate arrays took over 6 MB
+    g = cycle(9)
+    _coverage_catalog.cache_clear()
+    tracemalloc.start()
+    try:
+        _coverage_catalog(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_boxicity_exact_builds_catalog_once(monkeypatch):
@@ -210,3 +269,34 @@ def test_exact_certificates_verify(g, value):
     result = boxicity_exact(g)
     assert result.value == value
     assert verify_box_certificate(g, result.certificate)
+
+
+def _certificate_text(g):
+    result = boxicity_exact(g)
+    cert = result.certificate
+    return f"{result.value}|{[o.sequence for o in cert.orderings]!r}|{cert.reps!r}"
+
+
+# sha256 of value, orderings and interval reps; any change to which
+# lex-first ordering the catalog keeps shows here
+EXACT_GOLDEN = [
+    (lambda: complete_multipartite(2, 4),
+     "6f6831d99b89a41d8940bba2daf33bcadf4a2ba6f77eafe71c31972512a23f73"),
+    (lambda: cycle(8),
+     "106bb879ef94e66fc1fcc90db1bbb7441a69af26ac91a9c95af5caefe217b795"),
+    (lambda: complement(cycle(8)),
+     "cf19858fc4689379f01acdb7c9559ee53c43651d52c2cd0b261b815d76d01e53"),
+    (lambda: cobipartite_tight_family(2, 2).graph,
+     "f8eaaf8ab4b1381f51d0a844567dd065d95c47b052f21be8bb4ef9e4c0b58fdc"),
+    (lambda: _gnp(8, 1),
+     "2a0bb7cab18b999cdf5b92835f6f9a3a03ce101d2cbb14584ab75407a3a73a4a"),
+    (lambda: _gnp(8, 2),
+     "5054228ecf79bb9f534965f30bcd10929880db9f39c41753417673391897c1d8"),
+]
+
+
+@pytest.mark.parametrize("build, digest", EXACT_GOLDEN,
+                         ids=["K2222", "C8", "co-C8", "cobipartite-2-2", "gnp8-1", "gnp8-2"])
+def test_exact_certificate_bytes_are_pinned(build, digest):
+    text = _certificate_text(build())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

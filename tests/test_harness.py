@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from boxkit import harness, intervals, isoperimetry
+from boxkit import cli, harness, intervals, isoperimetry
 from boxkit.cli import main
 from boxkit.edgelist import (
     format_edge_list,
@@ -461,6 +461,15 @@ def test_cli_exact(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "boxicity=2" in out
     assert "certificate_verified=1" in out
+
+
+def test_cli_exact_unverified_certificate_is_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_box_certificate", lambda g, cert: False)
+    graph_file = _write(tmp_path / "c4.edges", C4_TEXT)
+    assert main(["exact", "--input", graph_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.endswith("boxicity=2\ncertificate_verified=0\n")
+    assert captured.err == "error: the boxicity certificate failed verification\n"
 
 
 def test_cli_exact_budget_exit_code(tmp_path, capsys):
