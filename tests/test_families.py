@@ -85,8 +85,51 @@ def test_samplers_are_deterministic():
     for spec, digest in SAMPLE_DIGESTS.items():
         first, second = sample(spec), sample(spec)
         assert first.rows == second.rows
-        g = first.to_graph() if isinstance(first, BipartiteGraph) else first
-        assert hashlib.sha256(format_edge_list(g).encode()).hexdigest() == digest
+        assert _edge_list_digest(first) == digest
+
+
+def _edge_list_digest(g) -> str:
+    g = g.to_graph() if isinstance(g, BipartiteGraph) else g
+    return hashlib.sha256(format_edge_list(g).encode()).hexdigest()
+
+
+# sha256 of larger samples: every model past one batch of draws, with
+# regular(20, k=9) at a seed whose pairing dead-ends and restarts.
+LARGE_SAMPLE_DIGESTS = {
+    RandomModelSpec("regular", 200, 3, k=8):
+        "098bfde107f10bbed169f400ceae4fdb89c22bba3e52937bcf3e0e4dcd163cbd",
+    RandomModelSpec("regular", 20, 29, k=9):
+        "4f02cb99e55fe57ccb53b88babf4d398e0d540349d531ee134cb2d4348a76d7f",
+    RandomModelSpec("gnp", 60, 3, p=Fraction(1, 3)):
+        "f7995516d42262991976acb4b87512b540b253f0bfe5359367a72cc5dcb2e87b",
+    RandomModelSpec("gnm", 60, 3, m=885):
+        "e87dddbc303229f784a1d49ac6a21d554aaeca72e9569b9b6eec86d08b5ba9f8",
+    RandomModelSpec("bipartite_gnp", 60, 3, p=Fraction(2, 3)):
+        "36aa9924aa53957aaeb64108c1e4433e662d6606914e90302c654588ff7368f5",
+    RandomModelSpec("bipartite_gnm", 60, 3, m=60):
+        "6a9767bb616d3c25969503e9ec036c572a0495702ee24c22a10785231ae97275",
+}
+
+
+@pytest.mark.parametrize("spec", list(LARGE_SAMPLE_DIGESTS),
+                         ids=lambda s: f"{s.model}-{s.n}-{s.parameter()}")
+def test_large_samples_are_pinned(spec):
+    assert _edge_list_digest(sample(spec)) == LARGE_SAMPLE_DIGESTS[spec]
+
+
+def test_pinned_regular_spec_restarts(monkeypatch):
+    # the restart spec above must keep exercising the dead-end path:
+    # each attempt shuffles the stubs once
+    shuffle = families.Xoshiro256StarStar.shuffle
+    attempts = []
+
+    def counting_shuffle(self, items):
+        attempts.append(len(items))
+        shuffle(self, items)
+
+    monkeypatch.setattr(families.Xoshiro256StarStar, "shuffle", counting_shuffle)
+    sample(RandomModelSpec("regular", 20, 29, k=9))
+    assert len(attempts) > 1
 
 
 def test_different_seeds_give_different_graphs():
