@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations, product
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -69,12 +69,8 @@ class RandomModelSpec:
 
 
 def _sample_gnp(rng: Xoshiro256StarStar, n: int, p: Fraction) -> Graph:
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.bernoulli(p.numerator, p.denominator):
-                edges.append((u, v))
-    return from_edges(n, edges)
+    hits = rng.bernoulli_many(n * (n - 1) // 2, p.numerator, p.denominator)
+    return from_edges(n, compress(combinations(range(n), 2), hits))
 
 
 def _draw_slots(rng: Xoshiro256StarStar, slots: list, m: int) -> list:
@@ -82,8 +78,8 @@ def _draw_slots(rng: Xoshiro256StarStar, slots: list, m: int) -> list:
     steps of a Fisher-Yates shuffle."""
     if not 0 <= m <= len(slots):
         raise ValueError(f"m = {m} outside 0..{len(slots)}")
-    for i in range(m):
-        j = i + rng.below(len(slots) - i)
+    for i, j in enumerate(rng.below_many(range(len(slots), len(slots) - m, -1))):
+        j += i
         slots[i], slots[j] = slots[j], slots[i]
     return slots[:m]
 
@@ -99,6 +95,13 @@ def _sample_regular(rng: Xoshiro256StarStar, n: int, k: int) -> Graph:
     no legal pair remains, so every returned graph is simple.  The
     distribution is the pairing model's up to the small bias of
     collision redraws.
+
+    The pairing draws its words in batches of min(len(stubs),
+    2 * (50 - failures)).  Each pass takes at least two words and at
+    least min(len(stubs) / 2, 50 - failures) passes remain, so a batch
+    never outlives the loop: a dead end leaves the stream where one
+    below() call per draw would, and the restart's shuffle starts on
+    the same word.
     """
     if k >= n:
         raise ValueError("degree must be below n")
@@ -106,14 +109,24 @@ def _sample_regular(rng: Xoshiro256StarStar, n: int, k: int) -> Graph:
         raise ValueError("n * k must be even")
     if k == 0:
         return from_edges(n, [])
+    # below(b) accepts every word under this for each bound b <= n * k
+    safe = (1 << 64) - n * k
     for _ in range(REGULAR_RESTART_BUDGET):
         stubs = [v for v in range(n) for _ in range(k)]
         rng.shuffle(stubs)
         rows = [0] * n
         failures = 0
+        spare: list[int] = []  # the batch's unused words, next one last
         while stubs and failures < 50:
-            i = rng.below(len(stubs))
-            j = rng.below(len(stubs) - 1)
+            size = len(stubs)
+            if not spare:
+                spare = rng.words(min(size, 2 * (50 - failures))).tolist()[::-1]
+            if len(spare) > 1 and spare[-1] < safe and spare[-2] < safe:
+                i = spare.pop() % size
+                j = spare.pop() % (size - 1)
+            else:
+                i = rng.below_from(spare, size)
+                j = rng.below_from(spare, size - 1)
             if j >= i:
                 j += 1
             u, v = stubs[i], stubs[j]
@@ -123,7 +136,7 @@ def _sample_regular(rng: Xoshiro256StarStar, n: int, k: int) -> Graph:
             failures = 0
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-            for idx in sorted((i, j), reverse=True):
+            for idx in (i, j) if i > j else (j, i):
                 stubs[idx] = stubs[-1]
                 stubs.pop()
         if not stubs:
@@ -134,12 +147,8 @@ def _sample_regular(rng: Xoshiro256StarStar, n: int, k: int) -> Graph:
 
 def _sample_bipartite_gnp(rng: Xoshiro256StarStar, n: int, p: Fraction) -> BipartiteGraph:
     half = n // 2
-    edges = []
-    for a in range(half):
-        for b in range(half):
-            if rng.bernoulli(p.numerator, p.denominator):
-                edges.append((a, b))
-    return bipartite_from_edges(half, half, edges)
+    hits = rng.bernoulli_many(half * half, p.numerator, p.denominator)
+    return bipartite_from_edges(half, half, compress(product(range(half), repeat=2), hits))
 
 
 def _sample_bipartite_gnm(rng: Xoshiro256StarStar, n: int, m: int) -> BipartiteGraph:

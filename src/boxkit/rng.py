@@ -5,11 +5,22 @@ so identical seeds give identical graphs on every platform (all integer
 arithmetic, no floats).  Per-sample streams are derived from the master
 seed and a sample index rather than drawn sequentially, which keeps each
 sample reproducible in isolation.
+
+The bulk forms (``words``, ``below_many``, ``bernoulli_many``) return
+exactly what the matching run of per-word calls would and leave the
+generator in the same state.  They run the state update over four local
+ints and apply the ``**`` scrambler once per batch in numpy ``uint64``,
+where arithmetic wraps mod 2^64.  A batch holds at most ``BATCH_WORDS``
+words, so a large draw (gnp at n = 2000 takes two million words) never
+holds more than that many raw words as Python ints.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
+BATCH_WORDS = 1 << 16
 
 
 def _splitmix64_next(state: int) -> tuple[int, int]:
@@ -61,15 +72,76 @@ class Xoshiro256StarStar:
         s[3] = _rotl(s[3], 45)
         return result
 
+    def words(self, count: int) -> np.ndarray:
+        """The next count outputs of next_u64, as a uint64 array.
+
+        Callers keep count at or below BATCH_WORDS.
+        """
+        mask = _MASK64
+        s0, s1, s2, s3 = self._s
+        raw = [0] * count
+        for i in range(count):
+            raw[i] = s1
+            t = (s1 << 17) & mask
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & mask
+        self._s = [s0, s1, s2, s3]
+        w = np.array(raw, dtype=np.uint64)
+        w *= 5
+        w = (w << 7) | (w >> 57)
+        w *= 9
+        return w
+
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), unbiased via rejection."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        return self.below_from([], bound)
+
+    def below_from(self, spare: list, bound: int) -> int:
+        """below(bound), taking words from the end of spare, a list of
+        already drawn words in reverse order, before drawing new ones."""
+        if not 1 <= bound <= _MASK64 + 1:
+            raise ValueError(f"bound must be in 1..2**64, got {bound}")
         limit = _MASK64 + 1 - (_MASK64 + 1) % bound
         while True:
-            r = self.next_u64()
+            r = spare.pop() if spare else self.next_u64()
             if r < limit:
                 return r % bound
+
+    def below_many(self, bounds) -> list[int]:
+        """[self.below(b) for b in bounds], drawn a batch at a time.
+
+        bounds is a sequence of ints in 1..2^64, all checked before any
+        draw.  Each batch draws one word per bound; on the first rejected
+        word the rest of the batch is finished one bound at a time,
+        spending the batch's remaining words before any new draw.
+        """
+        try:
+            b = np.array(bounds, dtype=np.uint64)
+        except OverflowError:  # a bound below 0 or past 2^64 - 1
+            if min(bounds) < 1 or max(bounds) > _MASK64 + 1:
+                raise ValueError("every bound must be in 1..2**64") from None
+            return [self.below(bound) for bound in bounds]
+        if not b.all():
+            raise ValueError("every bound must be in 1..2**64")
+        out: list[int] = []
+        for start in range(0, len(b), BATCH_WORDS):
+            out += self._below_batch(b[start:start + BATCH_WORDS])
+        return out
+
+    def _below_batch(self, b: np.ndarray) -> list[int]:
+        w = self.words(len(b))
+        # w < 2^64 - (2^64 mod b), with 2^64 mod b = (0 - b) mod b in uint64
+        accepted = w <= ~((0 - b) % b)
+        if accepted.all():
+            return (w % b).tolist()
+        first = int(accepted.argmin())
+        spare = w[first:].tolist()[::-1]
+        return (w[:first] % b[:first]).tolist() + [
+            self.below_from(spare, bound) for bound in b[first:].tolist()]
 
     def bernoulli(self, numerator: int, denominator: int) -> bool:
         """True with probability numerator/denominator, exactly.
@@ -79,8 +151,22 @@ class Xoshiro256StarStar:
         """
         return self.next_u64() * denominator < numerator << 64
 
+    def bernoulli_many(self, count: int, numerator: int, denominator: int) -> list[bool]:
+        """[self.bernoulli(numerator, denominator) for _ in range(count)].
+
+        A word w is a hit iff w * denominator < numerator * 2^64, that is
+        iff w < ceil(numerator * 2^64 / denominator).
+        """
+        threshold = -(-(numerator << 64) // denominator)
+        out: list[bool] = []
+        for start in range(0, count, BATCH_WORDS):
+            w = self.words(min(BATCH_WORDS, count - start))
+            # a threshold past 2^64 - 1 makes every word a hit
+            out += [True] * len(w) if threshold > _MASK64 else (w < threshold).tolist()
+        return out
+
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates driven by this stream."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        n = len(items)
+        for i, j in zip(range(n - 1, 0, -1), self.below_many(range(n, 1, -1))):
             items[i], items[j] = items[j], items[i]

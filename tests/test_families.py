@@ -3,6 +3,7 @@
 import hashlib
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -24,10 +25,18 @@ from boxkit.families import (
     petersen,
     sample,
 )
-from boxkit.graphs import BipartiteGraph, Graph, complete_graph, degree_summary
-from boxkit.rng import derive_seed
+from boxkit.graphs import (
+    BipartiteGraph,
+    Graph,
+    bipartite_from_edges,
+    complete_graph,
+    degree_summary,
+    from_edges,
+)
+from boxkit.rng import Xoshiro256StarStar, derive_seed
 
 from .test_isoperimetry import _NoNumpy
+from .test_rng import _HighWords
 
 CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 
@@ -130,6 +139,106 @@ def test_pinned_regular_spec_restarts(monkeypatch):
     monkeypatch.setattr(families.Xoshiro256StarStar, "shuffle", counting_shuffle)
     sample(RandomModelSpec("regular", 20, 29, k=9))
     assert len(attempts) > 1
+
+
+# One-call-per-draw samplers, as the models are defined: the oracles the
+# bulk-drawing samplers must match word for word.
+def _loop_gnp(rng, n, p):
+    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.bernoulli(p.numerator, p.denominator)])
+
+
+def _loop_slots(rng, slots, m):
+    for i in range(m):
+        j = i + rng.below(len(slots) - i)
+        slots[i], slots[j] = slots[j], slots[i]
+    return slots[:m]
+
+
+def _loop_gnm(rng, n, m):
+    return from_edges(n, _loop_slots(rng, list(combinations(range(n), 2)), m))
+
+
+def _loop_regular(rng, n, k):
+    while True:
+        stubs = [v for v in range(n) for _ in range(k)]
+        for i in range(len(stubs) - 1, 0, -1):
+            j = rng.below(i + 1)
+            stubs[i], stubs[j] = stubs[j], stubs[i]
+        rows = [0] * n
+        failures = 0
+        while stubs and failures < 50:
+            i = rng.below(len(stubs))
+            j = rng.below(len(stubs) - 1)
+            if j >= i:
+                j += 1
+            u, v = stubs[i], stubs[j]
+            if u == v or rows[u] >> v & 1:
+                failures += 1
+                continue
+            failures = 0
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            for idx in sorted((i, j), reverse=True):
+                stubs[idx] = stubs[-1]
+                stubs.pop()
+        if not stubs:
+            return Graph(n, tuple(rows))
+
+
+def _loop_bipartite_gnp(rng, n, p):
+    half = n // 2
+    return bipartite_from_edges(half, half, [
+        (a, b) for a in range(half) for b in range(half)
+        if rng.bernoulli(p.numerator, p.denominator)])
+
+
+def _loop_bipartite_gnm(rng, n, m):
+    half = n // 2
+    slots = [(a, b) for a in range(half) for b in range(half)]
+    return bipartite_from_edges(half, half, _loop_slots(rng, slots, m))
+
+
+LOOP_SAMPLERS = {
+    "gnp": _loop_gnp,
+    "gnm": _loop_gnm,
+    "regular": _loop_regular,
+    "bipartite_gnp": _loop_bipartite_gnp,
+    "bipartite_gnm": _loop_bipartite_gnm,
+}
+MATCH_SPECS = [
+    ("gnp", 30, Fraction(1, 3)), ("gnp", 12, Fraction(1)), ("gnm", 24, 100),
+    ("regular", 20, 9), ("regular", 60, 4), ("bipartite_gnp", 24, Fraction(2, 3)),
+    ("bipartite_gnm", 24, 70),
+]
+
+
+@pytest.mark.parametrize("stream", [Xoshiro256StarStar, _HighWords],
+                         ids=["plain", "rejecting"])
+@pytest.mark.parametrize("model, n, param", MATCH_SPECS,
+                         ids=[f"{m}-{n}-{q}" for m, n, q in MATCH_SPECS])
+def test_samplers_match_one_call_per_draw(model, n, param, stream):
+    assert tuple(LOOP_SAMPLERS) == MODELS
+    sampler = families.RANDOM_MODELS[model].sampler
+    for seed in range(6):
+        bulk, single = stream(seed), stream(seed)
+        assert sampler(bulk, n, param).rows == LOOP_SAMPLERS[model](single, n, param).rows
+        assert bulk._s == single._s
+
+
+def test_regular_sampler_draws_no_single_words(monkeypatch):
+    # with no rejected word, every word comes from a batch
+    calls = []
+    next_u64 = Xoshiro256StarStar.next_u64
+
+    def counting_next_u64(self):
+        calls.append(1)
+        return next_u64(self)
+
+    monkeypatch.setattr(Xoshiro256StarStar, "next_u64", counting_next_u64)
+    g = families._sample_regular(Xoshiro256StarStar(3), 200, 8)
+    assert degree_summary(g).max_degree == 8
+    assert calls == []
 
 
 def test_different_seeds_give_different_graphs():

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from boxkit import rng as rng_module
 from boxkit.rng import Xoshiro256StarStar, derive_seed, mix64
 
 
@@ -65,3 +67,100 @@ def test_shuffle_is_a_permutation():
     again = list(range(50))
     Xoshiro256StarStar(5).shuffle(again)
     assert again == items
+
+
+# --- bulk forms -------------------------------------------------------------
+
+def _twins(seed=9):
+    return Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+
+
+class _HighWords(Xoshiro256StarStar):
+    """A stream whose words all lie in the top 2^12 values, so rejection
+    sampling for any bound up to 2^12 rejects often."""
+
+    __slots__ = ()
+    HIGH = (1 << 64) - (1 << 12)
+
+    def next_u64(self) -> int:
+        return super().next_u64() | self.HIGH
+
+    def words(self, count: int) -> np.ndarray:
+        return super().words(count) | np.uint64(self.HIGH)
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 1000])
+def test_words_equal_next_u64_calls(count):
+    bulk, single = _twins()
+    words = bulk.words(count)
+    assert words.dtype == np.uint64
+    assert words.tolist() == [single.next_u64() for _ in range(count)]
+    assert bulk._s == single._s
+
+
+def test_below_many_equals_below():
+    bulk, single = _twins()
+    bounds = [1, 2, 3, 10, 1000, 2**32 + 1, 2**63 - 25, 2**64 - 1, 2**64] * 5
+    assert bulk.below_many(bounds) == [single.below(b) for b in bounds]
+    assert bulk._s == single._s
+
+
+def test_below_many_takes_the_fallback_on_high_bounds():
+    # bounds in (2^63, 2^64] reject about half of all words
+    bulk, single = _twins()
+    bounds = [2**63 + 1, 2**63 + 3**30, 2**64 - 3, 7] * 50
+    assert bulk.below_many(bounds) == [single.below(b) for b in bounds]
+    assert bulk._s == single._s
+
+
+def test_below_many_spends_the_batch_before_new_words():
+    bulk, single = _HighWords(4), _HighWords(4)
+    bounds = list(range(3000, 1, -1))
+    assert bulk.below_many(bounds) == [single.below(b) for b in bounds]
+    assert bulk._s == single._s
+
+
+def test_below_many_across_batches(monkeypatch):
+    monkeypatch.setattr(rng_module, "BATCH_WORDS", 8)
+    bulk, single = _twins()
+    bounds = [2**63 + 5, 3, 1000] * 11
+    assert bulk.below_many(bounds) == [single.below(b) for b in bounds]
+    assert bulk._s == single._s
+
+
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)],
+                         ids=str)
+def test_bernoulli_many_equals_bernoulli(p, monkeypatch):
+    monkeypatch.setattr(rng_module, "BATCH_WORDS", 64)
+    bulk, single = _twins()
+    hits = bulk.bernoulli_many(500, p.numerator, p.denominator)
+    assert hits == [single.bernoulli(p.numerator, p.denominator) for _ in range(500)]
+    assert bulk._s == single._s
+
+
+def test_shuffle_draws_one_word_per_swap():
+    bulk, single = _twins()
+    items = list(range(30))
+    bulk.shuffle(items)
+    expected = list(range(30))
+    for i in range(29, 0, -1):
+        j = single.below(i + 1)
+        expected[i], expected[j] = expected[j], expected[i]
+    assert items == expected
+    assert bulk._s == single._s
+
+
+@pytest.mark.parametrize("bound", [0, -1, 2**64 + 1, 2**70])
+def test_bounds_outside_the_word_range_raise(bound):
+    # 2^64 + 1 used to leave no accepted draw, so below() never returned
+    rng = Xoshiro256StarStar(1)
+    with pytest.raises(ValueError):
+        rng.below(bound)
+    with pytest.raises(ValueError):
+        rng.below_many([5, bound])
+    assert rng._s == Xoshiro256StarStar(1)._s  # raised before any draw
+
+
+def test_below_full_word_range():
+    bulk, single = _twins()
+    assert bulk.below(2**64) == single.next_u64()
