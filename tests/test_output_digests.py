@@ -12,7 +12,14 @@ from fractions import Fraction
 
 import pytest
 
-from boxkit.families import RandomModelSpec, complement_cycle, sample
+from boxkit.families import (
+    RandomModelSpec,
+    bipartite_tight_family,
+    cobipartite_tight_family,
+    complement_cycle,
+    complete_multipartite,
+    sample,
+)
 from boxkit.harness import run_bounds
 
 
@@ -31,8 +38,29 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("build, digest", GOLDEN,
-                         ids=["co-C14", "gnp13-seed5", "bipartite_gnp12-seed3"])
+# The named graphs of the bound-all benchmark and one draw of each of two
+# of its models, at its n = 18.  complete_multipartite(2, 9) takes the
+# c4free branch of the family bound.
+GOLDEN_18 = [
+    (lambda: complement_cycle(18),
+     "9c13974086499fe13c85bfaf4089f383694fc5dcb1908c9aa57c0e30c2cb2549"),
+    (lambda: complete_multipartite(2, 9),
+     "3352e9cac9179c64a177098aa1c2b98508f986a7cb4532fba9d3d13b38704918"),
+    (lambda: cobipartite_tight_family(3, 3).graph,
+     "744e65513e70d97915d12723ffacb2614fd70151f6153a84fe0731dcc3203a5c"),
+    (lambda: bipartite_tight_family(3, 3).graph,
+     "cc3d4f3fed540eb2a0b637fd623c8de57095a3663c9a19297e1abf95eecae2d5"),
+    (lambda: sample(RandomModelSpec("regular", 18, 1, k=13)),
+     "403a29b8e718cac035a49e200b7b225366776f64c92af706c0ec8fa8f708f65c"),
+    (lambda: sample(RandomModelSpec("bipartite_gnp", 18, 1, p=Fraction(1, 2))).to_graph(),
+     "2c1342f2ca1902a9cbc06fbe92c6be3abed4ce475823031d5c264f48bd023237"),
+]
+
+
+@pytest.mark.parametrize("build, digest", GOLDEN + GOLDEN_18,
+                         ids=["co-C14", "gnp13-seed5", "bipartite_gnp12-seed3",
+                              "co-C18", "K_2x9", "cobipartite(3,3)", "bipartite(3,3)",
+                              "regular18-k13-seed1", "bipartite_gnp18-seed1"])
 def test_run_bounds_all_output_bytes_are_pinned(build, digest):
     text = _report_text(build())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
