@@ -26,26 +26,28 @@ from .graphs import (
     Graph,
     bipartition,
     closed_neighborhood,
-    degree_summary,
     induced_subgraph,
     is_complete,
     universal_vertices,
 )
-from .isoperimetry import _least_union
+from .isoperimetry import LeastUnions
 from .reports import BoundReport, bound_report, not_applicable
+from .tables import GraphTables, tables_of
 
 EXPANSION = "expansion"
 UNIVERSAL = "universal"
 BIPARTITE_UNIVERSAL = "bipartite_universal"
 
 
-def cross_expansion(g: Graph, subset_side: int, target_side: int, t: int) -> Fraction:
+def cross_expansion(g: Graph | GraphTables, subset_side: int, target_side: int,
+                    t: int) -> Fraction:
     """beta_t: worst closed-neighborhood coverage of the target side by
     any t vertices of the subset side."""
     if target_side == 0:
         raise ValueError("target side must be nonempty")
-    rows = [(g.rows[v] | 1 << v) & target_side for v in bits(subset_side)]
-    return Fraction(_least_union(rows, t)[0], popcount(target_side))
+    tables = tables_of(g)
+    rows = [tables.closed_rows[v] & target_side for v in bits(subset_side)]
+    return Fraction(tables.unions(rows).least(t)[0], popcount(target_side))
 
 
 def _co_rows(g: Graph, subset_side: int, target_side: int) -> list[int]:
@@ -61,8 +63,8 @@ def co_expansion_table(g: Graph, subset_side: int, target_side: int,
     size = popcount(subset_side)
     if not 1 <= j_max <= size:
         raise ValueError(f"j_max = {j_max} outside 1..{size}")
-    rows = _co_rows(g, subset_side, target_side)
-    return tuple(_least_union(rows, j)[0] for j in range(1, j_max + 1))
+    unions = LeastUnions(_co_rows(g, subset_side, target_side))
+    return tuple(unions.least(j)[0] for j in range(1, j_max + 1))
 
 
 @dataclass(frozen=True)
@@ -86,15 +88,19 @@ class ExpansionCertificate:
     vertex_labels: tuple[int, ...] | None = None
 
 
-def certify_expansion_bound(g: Graph, s1: int, s2: int,
+def certify_expansion_bound(g: Graph | GraphTables, s1: int, s2: int,
                             t: int) -> tuple[BoundReport, ExpansionCertificate]:
     """Scan b = 1, 2, ... and return the first not refuted.
 
     b is refuted when floor(t_star(b)) >= 1 and 2(t-1) b < m at that
     floor (for t = 1 this degenerates to the m-value being positive).
     Graphs satisfying the preconditions always admit a feasible b at or
-    below max(|s1|, |s2|) / 2 + 1, so the scan terminates.
+    below max(|s1|, |s2|) / 2 + 1, so the scan terminates.  The least
+    unions behind beta_t and m_j are kept in g's tables, so calls for
+    several t on the same tables scan each size once.
     """
+    tables = tables_of(g)
+    g = tables.graph
     if s1 | s2 != g.vertices:
         raise ValueError("s1 and s2 must cover all vertices")
     if s1 == 0 or s2 == 0:
@@ -106,15 +112,8 @@ def certify_expansion_bound(g: Graph, s1: int, s2: int,
         if closed_neighborhood(g, 1 << u) & s1 == s1:
             raise ValueError(f"vertex {u} of s2 dominates s1")
 
-    beta = cross_expansion(g, s1, s2, t)
-    co_rows = _co_rows(g, s2, s1)
-    m_cache: dict[int, int] = {}
-
-    def m_at(j: int) -> int:
-        if j not in m_cache:
-            m_cache[j] = _least_union(co_rows, j)[0]
-        return m_cache[j]
-
+    beta = cross_expansion(tables, s1, s2, t)
+    co_unions = tables.unions(_co_rows(g, s2, s1))
     cap = max(n1, n2) // 2 + 2
     trace = []
     b = 1
@@ -122,7 +121,7 @@ def certify_expansion_bound(g: Graph, s1: int, s2: int,
         t_star = n2 * (1 - 2 * b * (1 - beta))
         floor_t = floor(t_star)
         if floor_t >= 1:
-            m_value = m_at(floor_t)
+            m_value = co_unions.least(floor_t)[0]
             infeasible = 2 * (t - 1) * b < m_value
         else:
             m_value = None
@@ -139,11 +138,13 @@ def certify_expansion_bound(g: Graph, s1: int, s2: int,
     return report, cert
 
 
-def universal_bound(g: Graph) -> BoundReport:
+def universal_bound(g: Graph | GraphTables) -> BoundReport:
     """(n - universal_count) / (2 (n - min_degree - 1))."""
+    tables = tables_of(g)
+    g = tables.graph
     if is_complete(g):
         return not_applicable(UNIVERSAL, "complete_graph")
-    summary = degree_summary(g)
+    summary = tables.degrees
     value = Fraction(g.n - summary.universal_count,
                      2 * (g.n - summary.min_degree - 1))
     cert = {"universal_count": summary.universal_count,
@@ -173,29 +174,38 @@ def bipartite_universal_bound(gb: BipartiteGraph) -> BoundReport:
 
 
 def _strip_universal(g: Graph) -> tuple[Graph, tuple[int, ...]] | None:
-    keep = g.vertices & ~universal_vertices(g)
+    """g without its universal vertices, with the kept vertices' labels:
+    g itself when it has none, None when every vertex is universal."""
+    universal = universal_vertices(g)
+    if universal == 0:
+        return g, tuple(range(g.n))
+    keep = g.vertices & ~universal
     if keep == 0:
         return None
     return induced_subgraph(g, keep), members(keep)
 
 
-def best_expansion_bound(g: Graph, t_max: int = 2) -> BoundReport:
+def best_expansion_bound(g: Graph | GraphTables, t_max: int = 2) -> BoundReport:
     """Best scan bound over canonical (s1, s2) choices and t <= t_max.
 
     Choices: both sides equal to the graph minus its universal vertices,
     and for bipartite graphs each side against the other (dominating
     vertices dropped from the subset side).  Universal vertices never
     lower boxicity, so bounds for the stripped induced subgraph apply to
-    the original graph.
+    the original graph.  A choice on all of g's vertices reads g's own
+    tables; any other gets tables of its induced subgraph.
     """
     if t_max < 1:
         raise ValueError("t_max must be positive")
-    candidates: list[tuple[Graph, int, int, tuple[int, ...]]] = []
+    tables = tables_of(g)
+    g = tables.graph
+    candidates: list[tuple[GraphTables, int, int, tuple[int, ...]]] = []
     stripped = _strip_universal(g)
     if stripped is not None:
         core, labels = stripped
         if not is_complete(core):
-            candidates.append((core, core.vertices, core.vertices, labels))
+            core_tables = tables if core is g else GraphTables(core)
+            candidates.append((core_tables, core.vertices, core.vertices, labels))
     sides = bipartition(g)
     if sides is not None:
         for s1, s2 in (sides, sides[::-1]):
@@ -207,12 +217,15 @@ def best_expansion_bound(g: Graph, t_max: int = 2) -> BoundReport:
             if s2_kept == 0:
                 continue
             keep = s1 | s2_kept
+            if keep == g.vertices:
+                candidates.append((tables, s1, s2_kept, tuple(range(g.n))))
+                continue
             labels = members(keep)
             sub = induced_subgraph(g, keep)
             relabel = {v: i for i, v in enumerate(labels)}
             sub_s1 = mask_of(relabel[v] for v in bits(s1))
             sub_s2 = mask_of(relabel[v] for v in bits(s2_kept))
-            candidates.append((sub, sub_s1, sub_s2, labels))
+            candidates.append((GraphTables(sub), sub_s1, sub_s2, labels))
 
     best: ExpansionCertificate | None = None
     for sub, s1, s2, labels in candidates:

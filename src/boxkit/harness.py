@@ -40,19 +40,21 @@ from .supergraph_bounds import (
     min_supergraph_bound,
     strong_boundary_bound,
 )
+from .tables import GraphTables
 
 # The one place a bound is added.  Keys are the bound modules' own name
-# constants in CSV row order.  The lambdas look the functions up in this
-# module's globals at call time, so a wrapper installed over a global
+# constants in CSV row order.  Each entry takes the graph's tables, which
+# run_bounds builds once per graph.  The lambdas look the functions up in
+# this module's globals at call time, so a wrapper installed over a global
 # (as a tracer does) is called too.
 BOUNDS = {
-    MIN_SUPERGRAPH: lambda g, t_max: min_supergraph_bound(g),
-    STRONG_BOUNDARY: lambda g, t_max: strong_boundary_bound(g),
-    FAMILY: lambda g, t_max: detect_family_bound(g),
-    DEGREE_RATIO: lambda g, t_max: degree_ratio_bound(g),
-    UNIVERSAL: lambda g, t_max: universal_bound(g),
-    SPECTRAL: lambda g, t_max: spectral_bound(g),
-    EXPANSION: lambda g, t_max: best_expansion_bound(g, t_max=t_max),
+    MIN_SUPERGRAPH: lambda tables, t_max: min_supergraph_bound(tables),
+    STRONG_BOUNDARY: lambda tables, t_max: strong_boundary_bound(tables),
+    FAMILY: lambda tables, t_max: detect_family_bound(tables),
+    DEGREE_RATIO: lambda tables, t_max: degree_ratio_bound(tables),
+    UNIVERSAL: lambda tables, t_max: universal_bound(tables),
+    SPECTRAL: lambda tables, t_max: spectral_bound(tables.graph),
+    EXPANSION: lambda tables, t_max: best_expansion_bound(tables, t_max=t_max),
 }
 ALL_BOUNDS = tuple(BOUNDS)
 
@@ -80,13 +82,15 @@ def run_bounds(g: Graph, selection, t_max: int = 2) -> list[BoundReport]:
 
     A bound that runs out of budget is reported inapplicable with
     reason "budget_exceeded" rather than raising.  t_max below 1 is a
-    bad argument whichever bounds are selected.
+    bad argument whichever bounds are selected.  The bounds share one
+    GraphTables, so each per-graph table is built once.
     """
     _check_t_max(t_max)
+    tables = GraphTables(g)
     reports = []
     for tok in _select_bounds(selection):
         try:
-            rep = BOUNDS[tok](g, t_max)
+            rep = BOUNDS[tok](tables, t_max)
         except BudgetExceededError:
             rep = not_applicable(tok, "budget_exceeded")
         reports.append(rep)

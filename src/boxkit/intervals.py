@@ -14,7 +14,11 @@ other.  So only canonical supergraphs, one per ordering, ever need to be
 intersected, and minimizing edges of an interval supergraph becomes a
 minimum over orderings that a subset DP solves exactly.  The DP indexes
 its table by the subsets of two halves of the vertex set, rows by one
-half and columns by the other, so that each step reads whole rows.
+half and columns by the other, so that each step reads whole rows.  The
+closed-neighbourhood unions it reads are the same ones the isoperimetric
+profile minimizes, so the DP folds their least size for every subset
+size, with the profile's witnesses, and the profile need not scan them
+again.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 from .bitset import bits, full_mask, popcount
 from .errors import SUPERGRAPH_MAX_VERTICES, BudgetExceededError, check_vertex_cap
 from .graphs import Graph, is_complete
-from .isoperimetry import _half_tables, _split_layouts
+from .isoperimetry import _half_tables, _improves, _split_layouts
 
 BOX_MAX_VERTICES = 8
 BOX_SEARCH_NODE_BUDGET = 10**6
@@ -130,6 +134,20 @@ class CanonicalSupergraph(NamedTuple):
     rep: IntervalRep
 
 
+def _canonical_rep(g: Graph, ordering: Ordering) -> IntervalRep:
+    """The intervals of canonical_supergraph(g, ordering), not realized."""
+    n = g.n
+    if ordering.n != n:
+        raise ValueError("ordering size does not match graph")
+    ranks = ordering.ranks
+    intervals = []
+    for v in range(n):
+        reach = min(ranks[w] for w in bits(g.rows[v] | (1 << v)))
+        lo = Fraction(reach) - Fraction(v + 1, n + 1)
+        intervals.append((lo, Fraction(ranks[v])))
+    return IntervalRep(tuple(intervals))
+
+
 def canonical_supergraph(g: Graph, ordering: Ordering) -> CanonicalSupergraph:
     """The minimal interval supergraph of g inducing the given numbering.
 
@@ -140,22 +158,18 @@ def canonical_supergraph(g: Graph, ordering: Ordering) -> CanonicalSupergraph:
     earliest neighbor sits at or before the other, which both contains g
     and stays minimal among supergraphs inducing this numbering.
     """
-    n = g.n
-    if ordering.n != n:
-        raise ValueError("ordering size does not match graph")
-    ranks = ordering.ranks
-    intervals = []
-    for v in range(n):
-        reach = min(ranks[w] for w in bits(g.rows[v] | (1 << v)))
-        lo = Fraction(reach) - Fraction(v + 1, n + 1)
-        intervals.append((lo, Fraction(ranks[v])))
-    rep = IntervalRep(tuple(intervals))
-    return CanonicalSupergraph(realize(rep, n), rep)
+    rep = _canonical_rep(g, ordering)
+    return CanonicalSupergraph(realize(rep, g.n), rep)
 
 
 class MinSupergraph(NamedTuple):
+    """The fewest supergraph edges, an ordering that reaches them, and,
+    for k = 1 .. n-1, the least |N[X]| over |X| = k with its
+    lexicographically smallest witness X, folded from the DP's unions."""
+
     edge_count: int
     ordering: Ordering
+    closed_unions: tuple[tuple[int, int], ...]
 
 
 _UNFILLED = np.iinfo(np.int16).max
@@ -188,6 +202,15 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
     _UNFILLED, the int16 maximum, so that a set with no high vertex
     takes its minimum from its low vertices alone.
 
+    Each row layer's unions are also folded, as they are built, into the
+    least |N[X]| of every size k.  The (row layer a, column layer k - a)
+    block is one contiguous run of the layer's (column x row) union
+    array, reduced to its minimum; its first minimum in (column, row)
+    order is its lexicographically smallest witness, and the blocks'
+    witnesses are compared as the profile scan (_least_unions) compares
+    them.  So closed_unions equals the profile's least closed unions,
+    witnesses included.
+
     No choice table is kept.  The ordering is walked back from the
     table: from the full set, each step removes the smallest v in S
     whose f(S - v) is least, so ties break toward the smallest vertex
@@ -200,6 +223,9 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
     closed = [row | 1 << v for v, row in enumerate(g.rows)]
     reach_low, reach_high = _half_tables(closed)
     f = np.empty((len(reach_high), len(reach_low)), dtype=np.int16)
+    col_starts = low.starts[:-1]
+    low_masks, high_masks = low.mask_list, high.mask_list
+    least: dict[int, tuple[int, int]] = {}
     for a, (r0, r1) in enumerate(pairwise(high.starts)):
         best = np.full((r1 - r0, len(reach_low)), _UNFILLED, dtype=np.int16)
         if a == 0:
@@ -213,16 +239,27 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
         del best
         # |N[S]| for every S in this row layer, one row per column
         union = np.bitwise_count(reach_low[:, None] | reach_high[r0:r1])
+        width = r1 - r0
+        # each column layer's rows are one contiguous run of union
+        minima = np.minimum.reduceat(union.ravel(), [c * width for c in col_starts]).tolist()
         for b, (c0, c1) in enumerate(pairwise(low.starts)):
             part = block[c0:c1]
             if b:
                 np.minimum(part, np.take(block, low.preds[b], axis=0).min(axis=0), out=part)
             part += union[c0:c1]
+            held = least.get(a + b)
+            if 0 < a + b < n and _improves(held, minima[b], low_masks[c0] | high_masks[r0] << h):
+                # the first minimum in (column, row) order
+                col, row = divmod(c0 * width + int(union[c0:c1].argmin()), width)
+                mask = low_masks[col] | high_masks[r0 + row] << h
+                if _improves(held, minima[b], mask):
+                    least[a + b] = (minima[b], mask)
         f[r0:r1] = block.T
     low_mask = (1 << h) - 1
+    low_position, high_position = low.position_list, high.position_list
 
     def value(s: int) -> int:
-        return f[high.position[s >> h], low.position[s & low_mask]]
+        return f.item(high_position[s >> h], low_position[s & low_mask])
 
     seq_rev = []
     s = (1 << n) - 1
@@ -231,7 +268,8 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
         seq_rev.append(v)
         s ^= 1 << v
     ordering = Ordering.from_sequence(tuple(reversed(seq_rev)))
-    return MinSupergraph(int(f[-1, -1]) - n * (n + 1) // 2, ordering)
+    return MinSupergraph(f.item(-1, -1) - n * (n + 1) // 2, ordering,
+                         tuple(least[k] for k in range(1, n)))
 
 
 @dataclass(frozen=True)
@@ -396,7 +434,7 @@ def boxicity_le(g: Graph, k: int) -> BoxCertificate | None:
     if seqs is None:
         return None
     orderings = tuple(Ordering.from_sequence(s) for s in seqs)
-    reps = tuple(canonical_supergraph(g, o).rep for o in orderings)
+    reps = tuple(_canonical_rep(g, o) for o in orderings)
     return BoxCertificate(len(orderings), orderings, reps)
 
 

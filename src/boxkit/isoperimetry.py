@@ -19,17 +19,27 @@ sorted member tuples) within each size, so that layer k is one
 contiguous slice.  The layout follows the recursion
 L(lo, k) = ({lo} + L(lo + 1, k - 1)) ++ L(lo + 1, k), which _fill_layers
 follows in place one vertex at a time, with no sort and no gather;
-_layers names each position's subset by its mask, and _split_layouts
-holds the two half layouts of one n, shared by the profile and the
+_layers names each position's subset by its mask, and _half_layout
+keeps one layout per half size, shared by every split-half scan and the
 supergraph DP.
 
-Each profile value is the least size of a union of k rows, and two
-scans find it.  _least_unions takes every size over split halves, for
-iso_profile: a set X is the pair (X & L, X & H), so a union over X is
-the OR of two half-table entries, scanned _CHUNK_ENTRIES at a time; the
-supergraph DP keeps its table in the same (high half x low half) shape.
-_least_union takes one size k by prefix scan, over rows of any width,
-for min_boundary, max_strong_boundary and the expansion bounds.
+Each profile value is the least size of a union of k rows.  A set X is
+the pair (X & L, X & H), so a union over X is the OR of two half-table
+entries, and _least_unions scans the (high layer a x low layer k - a)
+blocks of the sizes k it is asked for, _CHUNK_ENTRIES at a time; the
+supergraph DP keeps its table in the same (high half x low half) shape
+and folds the least closed unions of every size as it goes.  Which scan
+serves which sizes:
+
+  every k = 1 .. n-1 (iso_profile): _least_unions over all blocks, once
+      per row list; g's closed rows are skipped when the DP has folded
+      them (closed_unions).
+  one k (min_boundary, max_strong_boundary, the expansion bound's
+      beta_t and m_j): LeastUnions, which runs _least_unions on the
+      blocks of that k alone for up to PROFILE_MAX_VERTICES rows of up
+      to 32 bits, building the half tables once per row list, and
+      _least_union's prefix scan in colex order for longer or wider
+      rows.
 """
 
 from __future__ import annotations
@@ -87,15 +97,23 @@ class _HalfLayout(NamedTuple):
     masks[i] is the i-th subset, as a mask over the half's own vertices,
     position[mask] its index in the layout, and preds[k][j, i] the index
     of X minus its j-th smallest member, for the i-th subset X of layer k.
+    mask_list and position_list hold the same as Python ints, for the
+    scalar reads of witnesses and of the supergraph DP's walk back.
     """
 
     starts: tuple[int, ...]
     masks: np.ndarray
     position: np.ndarray
     preds: tuple[np.ndarray, ...]
+    mask_list: tuple[int, ...]
+    position_list: tuple[int, ...]
 
 
+@lru_cache(maxsize=PROFILE_MAX_VERTICES // 2 + 1)
 def _half_layout(m: int) -> _HalfLayout:
+    """The layout of the subsets of m vertices.  Kept per half size:
+    every split-half scan runs on at most PROFILE_MAX_VERTICES rows, so
+    its halves have 0 .. PROFILE_MAX_VERTICES // 2 vertices."""
     masks, starts = _layers(m)
     position = np.empty(1 << m, dtype=np.intp)
     position[masks] = np.arange(1 << m)
@@ -104,10 +122,10 @@ def _half_layout(m: int) -> _HalfLayout:
         layer = masks[a:b]
         _, member = np.nonzero(layer[:, None] >> np.arange(m) & 1)
         preds.append(position[layer ^ 1 << member.reshape(b - a, k).T])
-    return _HalfLayout(starts, masks, position, tuple(preds))
+    return _HalfLayout(starts, masks, position, tuple(preds),
+                       tuple(masks.tolist()), tuple(position.tolist()))
 
 
-@lru_cache(maxsize=1)
 def _split_layouts(n: int) -> tuple[_HalfLayout, _HalfLayout]:
     """The layouts of the low vertices 0 .. n//2 - 1 and of the rest."""
     h = n // 2
@@ -130,9 +148,9 @@ def _half_tables(rows) -> tuple[np.ndarray, np.ndarray]:
     return tables[0], tables[1]
 
 
-# Entries of the largest temporary a scan allocates: the profile scans
-# the vertex subsets a block of high-half rows at a time, and
-# _least_union its last stage a chunk of sets at a time.
+# Entries of the largest temporary a scan allocates: the split-half
+# scans take a block of high-half rows at a time, and _least_union its
+# last stage a chunk of sets at a time.
 _CHUNK_ENTRIES = 1 << 18
 
 
@@ -144,57 +162,105 @@ def _precedes(x: int, y: int) -> bool:
     return bool(x & diff & -diff)
 
 
-def _least_unions(rows) -> list[tuple[int, int]]:
-    """For k = 1 .. n-1, the least |rows[x1] | ... | rows[xk]| over the
-    sets X of size k, with its lexicographically smallest witness.
+def _improves(held: tuple[int, int] | None, value: int, mask: int) -> bool:
+    """Whether the union size value, reached by the set mask, comes before
+    held: a smaller size, or the same size with an earlier set."""
+    return held is None or value < held[0] or value == held[0] and _precedes(mask, held[1])
 
-    Each union is the OR of one low-half and one high-half table entry.
-    The unions are computed a chunk of high rows at a time, as a (high
-    rows x low subsets) array of popcounts, and reduced over the rows to
-    one minimum per low subset.  X = XL + XH with |XH| = a and |XL| = b,
-    and every low vertex precedes every high one, so within one (a, b)
-    block lexicographic order is the order of XL, then of XH.  The
-    block's smallest witness is thus the first low subset whose column
-    reaches the block's minimum, with the first row of that column that
-    does.  A witness is sought only in a block that beats the best so
-    far, or ties it and starts before its witness; witnesses from
-    different blocks or chunks are compared only on ties.
+
+def _least_unions(rows, sizes: range, halves=None) -> list[tuple[int, int]]:
+    """For each k in sizes, the least |rows[x1] | ... | rows[xk]| over
+    the sets X of size k, with its lexicographically smallest witness.
+
+    Each union is the OR of one low-half and one high-half table entry
+    (halves, or _half_tables(rows) when not given).  Against high layer
+    a only the low layers b = k - a of the wanted sizes are scanned, as
+    one span of columns.  The unions are computed a chunk of high rows
+    at a time, as a (high rows x low subsets) array of popcounts of at
+    most _CHUNK_ENTRIES entries, and reduced over the rows to one
+    minimum per low subset.
+
+    X = XL + XH with |XH| = a and |XL| = b, and every low vertex
+    precedes every high one, so within one (a, b) block lexicographic
+    order is the order of XL, then of XH.  The block's smallest witness
+    is thus the first low subset whose column reaches the block's
+    minimum, with the first row of that column that does.  A witness is
+    sought only in a block that improves on the best so far with its
+    first set; witnesses from different blocks or chunks are compared
+    only on ties.
     """
     n = len(rows)
+    if not sizes:
+        return []
     h = n // 2
     low, high = _split_layouts(n)
-    low_table, high_table = _half_tables(rows)
-    cols = len(low_table)
-    step = max(1, _CHUNK_ENTRIES // cols)
-    size = cols * min(step, len(high_table))
+    low_masks, high_masks = low.mask_list, high.mask_list
+    low_table, high_table = _half_tables(rows) if halves is None else halves
+    # one chunk's buffers, as the whole-profile scan fills them, whatever
+    # the sizes: their pages are only touched as far as a block needs
+    size = min(len(low_table) * len(high_table), max(_CHUNK_ENTRIES, len(low_table)))
     words = np.empty(size, dtype=np.uint32)
     counts = np.empty(size, dtype=np.uint8)
-    col_starts = low.starts[:-1]
-    best: list[tuple[int, int] | None] = [None] * (n + 1)
+    best: dict[int, tuple[int, int]] = {}
     for a, (r0, r1) in enumerate(pairwise(high.starts)):
+        b0, b1 = max(0, sizes[0] - a), min(h, sizes[-1] - a)
+        if b0 > b1:
+            continue
+        c0, c1 = low.starts[b0], low.starts[b1 + 1]
+        cols = c1 - c0
+        step = max(1, _CHUNK_ENTRIES // cols)
+        offsets = [d0 - c0 for d0 in low.starts[b0:b1 + 1]]
         for s0 in range(r0, r1, step):
             width = min(step, r1 - s0)
             block = words[:cols * width].reshape(width, cols)
-            np.bitwise_or(high_table[s0:s0 + width, None], low_table, out=block)
+            np.bitwise_or(high_table[s0:s0 + width, None], low_table[c0:c1], out=block)
             block = np.bitwise_count(block, out=counts[:cols * width].reshape(width, cols))
             columns = block.min(axis=0)  # per low subset, over the rows
-            for b, value in enumerate(np.minimum.reduceat(columns, col_starts).tolist()):
-                k = a + b
-                if not 0 < k < n:
-                    continue
-                held = best[k]
-                c0, c1 = low.starts[b], low.starts[b + 1]
-                # skip a block that is worse, or ties but starts after the
-                # held witness (its first set is its smallest)
-                if held is not None and (value > held[0] or value == held[0] and _precedes(
-                        held[1], int(low.masks[c0]) | int(high.masks[s0]) << h)):
-                    continue
-                col = c0 + int(columns[c0:c1].argmin())
-                row = s0 + int(block[:, col].argmin())
-                mask = int(low.masks[col]) | int(high.masks[row]) << h
-                if held is None or value < held[0] or _precedes(mask, held[1]):
-                    best[k] = (value, mask)
-    return best[1:n]
+            minima = np.minimum.reduceat(columns, offsets).tolist()
+            for b, value in enumerate(minima, b0):
+                held = best.get(a + b)
+                d0 = low.starts[b]
+                if _improves(held, value, low_masks[d0] | high_masks[s0] << h):
+                    col = d0 + int(columns[d0 - c0:low.starts[b + 1] - c0].argmin())
+                    row = s0 + int(block[:, col - c0].argmin())
+                    mask = low_masks[col] | high_masks[row] << h
+                    if _improves(held, value, mask):
+                        best[a + b] = (value, mask)
+    return [best[k] for k in sizes]
+
+
+class LeastUnions:
+    """The least unions of one list of rows, one subset size at a time.
+
+    least(k) is the least |rows[x1] | ... | rows[xk]| over the k-subsets
+    X of range(len(rows)), with its lexicographically smallest witness.
+    Each size is scanned once and kept in found, where a caller that
+    has the values already (the supergraph DP, the profile) may put
+    them.  Up to PROFILE_MAX_VERTICES rows of up to 32 bits, a size is
+    scanned by _least_unions over split halves, whose half tables are
+    built on the first such scan and kept; longer or wider row lists
+    take _least_union's prefix scan.
+    """
+
+    def __init__(self, rows) -> None:
+        self.rows = tuple(rows)
+        self.found: dict[int, tuple[int, int]] = {}
+        self._halves = None
+
+    def least(self, k: int) -> tuple[int, int]:
+        rows = self.rows
+        n = len(rows)
+        if not 1 <= k <= n:
+            raise ValueError(f"subset size {k} outside 1..{n}")
+        check_subset_budget(n, k)
+        if k not in self.found:
+            if n <= PROFILE_MAX_VERTICES and max(rows) >> 32 == 0:
+                if self._halves is None:
+                    self._halves = _half_tables(rows)
+                self.found[k] = _least_unions(rows, range(k, k + 1), self._halves)[0]
+            else:
+                self.found[k] = _least_union(rows, k)
+        return self.found[k]
 
 
 @dataclass(frozen=True)
@@ -212,8 +278,7 @@ class IsoProfile:
     max_strong_boundary_witness: tuple[int, ...]
 
 
-@lru_cache(maxsize=1)
-def iso_profile(g: Graph) -> IsoProfile:
+def iso_profile(g: Graph, closed_unions=None) -> IsoProfile:
     """Both profiles from two least-union scans.
 
     Without self-loops, |Gamma(X)| = |N[x1] | ... | N[xk]| - |X| over
@@ -222,19 +287,22 @@ def iso_profile(g: Graph) -> IsoProfile:
     X are the vertices outside V - N(x1) | ... | V - N(xk), the union of
     the complement's closed neighbourhoods, so the largest strong
     boundary is n minus that union's least size, with the same witness.
-    Cached for the last graph only, so that the bounds evaluated on one
-    graph (strong_boundary, and family's generic value) share one sweep.
+    closed_unions, when given, holds the first scan's result (value and
+    witness for k = 1 .. n-1, as the supergraph DP folds it), and only
+    the complement's rows are scanned.
     """
     n = g.n
     check_vertex_cap(n, PROFILE_MAX_VERTICES)
     full = (1 << n) - 1
-    union = _least_unions([row | 1 << v for v, row in enumerate(g.rows)])
-    missed = _least_unions([full & ~row for row in g.rows])
+    sizes = range(1, n)
+    if closed_unions is None:
+        closed_unions = _least_unions([row | 1 << v for v, row in enumerate(g.rows)], sizes)
+    missed = _least_unions([full & ~row for row in g.rows], sizes)
     return IsoProfile(
         n,
-        tuple(value - k for k, (value, _) in enumerate(union, 1)),
+        tuple(value - k for k, (value, _) in enumerate(closed_unions, 1)),
         tuple(n - value for value, _ in missed),
-        tuple(mask for _, mask in union),
+        tuple(mask for _, mask in closed_unions),
         tuple(mask for _, mask in missed),
     )
 
@@ -317,7 +385,7 @@ def _least_union(rows, k: int) -> tuple[int, int]:
 def min_boundary(g: Graph, k: int) -> tuple[int, int]:
     """Minimum |Gamma(X)| over |X| = k, with its lexicographically
     smallest witness: the least closed-neighbourhood union, minus k."""
-    value, witness = _least_union([row | 1 << v for v, row in enumerate(g.rows)], k)
+    value, witness = LeastUnions(row | 1 << v for v, row in enumerate(g.rows)).least(k)
     return value - k, witness
 
 
@@ -325,5 +393,5 @@ def max_strong_boundary(g: Graph, k: int) -> tuple[int, int]:
     """Maximum |GammaS(X)| over |X| = k, with its lexicographically
     smallest witness: n minus the least union of the complement's closed
     neighbourhoods."""
-    value, witness = _least_union([g.vertices & ~row for row in g.rows], k)
+    value, witness = LeastUnions(g.vertices & ~row for row in g.rows).least(k)
     return g.n - value, witness

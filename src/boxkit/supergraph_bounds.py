@@ -22,10 +22,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PROFILE_MAX_VERTICES
-from .graphs import Graph, complement, degree_summary, is_complete, is_connected
-from .isoperimetry import complement_profile, iso_profile, max_strong_boundary
-from .intervals import min_interval_supergraph
+from .graphs import Graph, degree_summary, is_complete, is_connected
+from .isoperimetry import complement_profile, max_strong_boundary
 from .reports import BoundReport, bound_report, not_applicable
+from .tables import GraphTables, tables_of
 
 MIN_SUPERGRAPH = "min_supergraph"
 STRONG_BOUNDARY = "strong_boundary"
@@ -34,32 +34,46 @@ FAMILY = "family"
 DEGREE_RATIO = "degree_ratio"
 
 
-def min_supergraph_bound(g: Graph) -> BoundReport:
+def min_supergraph_bound(g: Graph | GraphTables) -> BoundReport:
     """nonedges(g) / nonedges(I_min), exact via the supergraph DP."""
+    tables = tables_of(g)
+    g = tables.graph
     if is_complete(g):
         return not_applicable(MIN_SUPERGRAPH, "complete_graph")
     pairs = g.n * (g.n - 1) // 2
-    result = min_interval_supergraph(g)
+    result = tables.supergraph
     denominator = pairs - result.edge_count
     value = Fraction(pairs - g.edge_count, denominator)
     cert = {"ordering": result.ordering, "supergraph_edges": result.edge_count}
     return bound_report(MIN_SUPERGRAPH, value, cert)
 
 
-def strong_boundary_bound(g: Graph) -> BoundReport:
+def strong_boundary_bound(g: Graph | GraphTables) -> BoundReport:
     """nonedges(g) divided by the summed strong-boundary profile of the
     complement.  Weaker than min_supergraph_bound but the profile is the
     quantity closed-form family bounds estimate, so it is reported with
     its full certificate.  The complement's profile comes from g's own
     (complement_profile), so this bound and min_supergraph_bound share
     g's boundary table."""
-    if is_complete(g):
-        return not_applicable(STRONG_BOUNDARY, "complete_graph")
-    profile = complement_profile(iso_profile(g))
-    total = sum(profile.max_strong_boundary)
-    value = Fraction(complement(g).edge_count, total)
-    cert = {"complement_profile": profile, "profile_sum": total}
-    return bound_report(STRONG_BOUNDARY, value, cert)
+    return _strong_boundary_report(tables_of(g))
+
+
+def _strong_boundary_report(tables: GraphTables) -> BoundReport:
+    """strong_boundary's report, built once per graph; family reads its
+    value too."""
+    report = tables.reports.get(STRONG_BOUNDARY)
+    if report is None:
+        g = tables.graph
+        if is_complete(g):
+            report = not_applicable(STRONG_BOUNDARY, "complete_graph")
+        else:
+            profile = complement_profile(tables.profile)
+            total = sum(profile.max_strong_boundary)
+            value = Fraction(g.n * (g.n - 1) // 2 - g.edge_count, total)
+            cert = {"complement_profile": profile, "profile_sum": total}
+            report = bound_report(STRONG_BOUNDARY, value, cert)
+        tables.reports[STRONG_BOUNDARY] = report
+    return report
 
 
 def regular_complement_bound(n: int, k: int, g: Graph) -> BoundReport:
@@ -75,7 +89,7 @@ def regular_complement_bound(n: int, k: int, g: Graph) -> BoundReport:
     return bound_report(REGULAR_COMPLEMENT, value, {"n": n, "k": k, "verified": True})
 
 
-def detect_family_bound(g: Graph) -> BoundReport:
+def detect_family_bound(g: Graph | GraphTables) -> BoundReport:
     """Closed-form profile bounds for structure found in the complement.
 
     complement_cycle: the complement is a cycle and n >= 5; n/3.  (At
@@ -86,37 +100,43 @@ def detect_family_bound(g: Graph) -> BoundReport:
         form needs regularity: the profile tail vanishes above the
         degree, and the complement's edge count is nk/2.
 
-    The cycle is tried first.  Up to the profile's cap the certificate
-    also carries strong_boundary_bound's value, which each closed form
-    never exceeds.
+    The cycle is tried first.  Up to the profile's cap the square-free
+    test reads the complement's profile, and the certificate also
+    carries strong_boundary_bound's value, which each closed form never
+    exceeds.
     """
+    tables = tables_of(g)
+    g = tables.graph
     if is_complete(g):
         return not_applicable(FAMILY, "complete_graph")
-    co = complement(g)
-    summary = degree_summary(co)
+    summary = tables.complement_degrees
     if not summary.is_regular:
         return not_applicable(FAMILY, "no_family_detected")
-    if g.n >= 5 and summary.min_degree == 2 and is_connected(co):
+    profiled = g.n <= PROFILE_MAX_VERTICES
+    if g.n >= 5 and summary.min_degree == 2 and is_connected(tables.complement):
         family, k, value = "complement_cycle", None, Fraction(g.n, 3)
-    elif max_strong_boundary(co, 2)[0] <= 1:
+    elif (complement_profile(tables.profile).max_strong_boundary[1] if profiled and g.n > 2
+          else max_strong_boundary(tables.complement, 2)[0]) <= 1:
         family, k, value = "c4free", summary.min_degree, Fraction(g.n, 4)
     else:
         return not_applicable(FAMILY, "no_family_detected")
     cert = {"family": family, "n": g.n, "k": k, "verified": True}
-    if g.n <= PROFILE_MAX_VERTICES:
-        cert["generic_value"] = strong_boundary_bound(g).value
+    if profiled:
+        cert["generic_value"] = _strong_boundary_report(tables).value
     return bound_report(FAMILY, value, cert)
 
 
-def degree_ratio_bound(g: Graph) -> BoundReport:
+def degree_ratio_bound(g: Graph | GraphTables) -> BoundReport:
     """n * min_degree(complement) / (2 * max_degree(complement)^2).
 
     Vacuously 0 when the complement has an isolated vertex; still
     reported, a zero bound is an answer.
     """
+    tables = tables_of(g)
+    g = tables.graph
     if is_complete(g):
         return not_applicable(DEGREE_RATIO, "complete_graph")
-    summary = degree_summary(complement(g))
+    summary = tables.complement_degrees
     value = Fraction(g.n * summary.min_degree, 2 * summary.max_degree ** 2)
     cert = {"complement_min_degree": summary.min_degree,
             "complement_max_degree": summary.max_degree}

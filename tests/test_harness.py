@@ -163,7 +163,6 @@ def test_family_reuses_the_strong_boundary_profile(monkeypatch):
         return real(rows)
 
     monkeypatch.setattr(isoperimetry, "_half_tables", counted)
-    isoperimetry.iso_profile.cache_clear()
     reports = run_bounds(complement_cycle(9), ["strong_boundary", "family"])
     assert reports[1].certificate["generic_value"] == reports[0].value
     # one profile sweep builds the half tables of two unions
@@ -171,22 +170,34 @@ def test_family_reuses_the_strong_boundary_profile(monkeypatch):
 
 
 def test_all_bounds_build_two_subset_tables_per_graph(monkeypatch):
-    builds = []
-    real = isoperimetry._half_tables
+    builds, scans = [], []
+    real_half, real_scan = isoperimetry._half_tables, isoperimetry._least_unions
 
     def counted(rows):
-        builds.append(rows)
-        return real(rows)
+        builds.append(list(rows))
+        return real_half(rows)
+
+    def scanned(rows, sizes, halves=None):
+        scans.append((list(rows), sizes))
+        return real_scan(rows, sizes, halves)
 
     monkeypatch.setattr(isoperimetry, "_half_tables", counted)
-    isoperimetry.iso_profile.cache_clear()
+    monkeypatch.setattr(intervals, "_half_tables", counted)
+    monkeypatch.setattr(isoperimetry, "_least_unions", scanned)
     for g in (complement_cycle(9), cycle(10), complement_cycle(9)):
         builds.clear()
+        scans.clear()
         run_bounds(g, ["all"])
-        # the profile builds the half tables of g's closed neighbourhoods
-        # and of its complement's, and the complement's profile is
-        # derived, not swept
-        assert builds == [_closed_rows(g), _closed_rows(complement(g))]
+        # the supergraph DP builds the half tables of g's closed
+        # neighbourhoods and folds their least unions; the profile scans
+        # only its complement's, and the complement's profile is
+        # derived, not swept.  The expansion bound's rows are others.
+        closed, co_closed = _closed_rows(g), _closed_rows(complement(g))
+        assert builds.count(closed) == 1 and builds.count(co_closed) == 1
+        assert builds[:2] == [closed, co_closed]
+        profile_scans = [rows for rows, sizes in scans if len(sizes) > 1]
+        assert profile_scans == [co_closed]
+        assert all(rows not in (closed, co_closed) for rows, sizes in scans if len(sizes) == 1)
 
 
 def _record_subset_tables(monkeypatch, module):
@@ -207,8 +218,7 @@ def _record_subset_tables(monkeypatch, module):
 
     monkeypatch.setattr(isoperimetry, "_fill_layers", fill)
     monkeypatch.setattr(module, "_half_tables", half)
-    isoperimetry._split_layouts.cache_clear()
-    isoperimetry.iso_profile.cache_clear()
+    isoperimetry._half_layout.cache_clear()
     return sizes
 
 

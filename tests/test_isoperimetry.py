@@ -4,10 +4,13 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxkit import isoperimetry
 from boxkit.bitset import mask_of, popcount
-from boxkit.errors import PROFILE_MAX_VERTICES, BudgetExceededError
+from math import comb
+
+from boxkit.errors import PROFILE_MAX_VERTICES, SUBSET_BUDGET, BudgetExceededError
 from boxkit.graphs import (
     complement,
     cycle,
@@ -16,6 +19,7 @@ from boxkit.graphs import (
     vertex_boundary,
 )
 from boxkit.isoperimetry import (
+    LeastUnions,
     _least_union,
     iso_profile,
     max_strong_boundary,
@@ -185,3 +189,71 @@ def test_least_union_budget_raises_before_any_array(monkeypatch):
     monkeypatch.setattr(isoperimetry, "np", _NoNumpy())
     with pytest.raises(BudgetExceededError, match=r"C\(40,8\) subsets exceed"):
         _least_union([1 << v for v in range(40)], 8)
+
+
+@st.composite
+def _row_lists(draw):
+    """1 to PROFILE_MAX_VERTICES rows of up to 32 bits, thinned so that
+    unions tie, with empty and repeated rows mixed in."""
+    width = draw(st.integers(1, 32))
+    row = st.builds(lambda x, y: x & y, st.integers(0, (1 << width) - 1),
+                    st.integers(0, (1 << width) - 1))
+    return draw(st.lists(st.one_of(row, st.just(0), st.just((1 << width) - 1)),
+                         min_size=1, max_size=PROFILE_MAX_VERTICES))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_row_lists())
+def test_routed_scan_matches_colex_scan(rows):
+    # sizes past the budget raise on both paths; the cheap ones compare
+    n = len(rows)
+    unions = LeastUnions(rows)
+    for k in range(1, n + 1):
+        if comb(n, k) > SUBSET_BUDGET:
+            with pytest.raises(BudgetExceededError):
+                unions.least(k)
+        elif comb(n, k) <= 20_000:
+            assert unions.least(k) == _least_union(rows, k), k
+
+
+def test_routed_scan_takes_the_colex_path_past_the_split_limits():
+    # 29 rows, or rows wider than 32 bits, are not split into halves
+    for rows in (_random_rows(5, PROFILE_MAX_VERTICES + 1, 20), _random_rows(6, 12, 40)):
+        for k in (1, 2, 3, len(rows) - 1, len(rows)):
+            assert LeastUnions(rows).least(k) == _loop_least_union(rows, k)
+
+
+def test_routed_scan_handles_one_row_and_every_row():
+    assert LeastUnions([0b101]).least(1) == (2, 1)
+    rows = _random_rows(4, 9, 9)
+    full = 0
+    for row in rows:
+        full |= row
+    assert LeastUnions(rows).least(9) == (popcount(full), (1 << 9) - 1)
+
+
+def test_routed_scan_validates_the_size():
+    for k in (0, 4):
+        with pytest.raises(ValueError):
+            LeastUnions([1, 2, 4]).least(k)
+
+
+@pytest.mark.parametrize("n, k", [(26, 13), (27, 11), (28, 10), (28, 14), (40, 8)])
+def test_routed_scan_budget_raises_before_any_array(monkeypatch, n, k):
+    # at 26 to 28 rows exactly the sizes past SUBSET_BUDGET overrun
+    assert comb(n, k) > SUBSET_BUDGET
+    monkeypatch.setattr(isoperimetry, "np", _NoNumpy())
+    with pytest.raises(BudgetExceededError, match=rf"C\({n},{k}\) subsets exceed"):
+        LeastUnions([1 << v for v in range(n)]).least(k)
+
+
+@pytest.mark.parametrize("n", [26, 27, 28])
+def test_routed_scan_overruns_only_past_the_budget(n):
+    over = [k for k in range(1, n + 1) if comb(n, k) > SUBSET_BUDGET]
+    unions = LeastUnions([1 << v for v in range(n)])
+    for k in over:
+        with pytest.raises(BudgetExceededError):
+            unions.least(k)
+    # the largest size still inside the budget runs
+    k = min(over) - 1
+    assert unions.least(k) == (k, (1 << k) - 1)

@@ -69,3 +69,15 @@ def test_dp_scale_rejects_sizes_past_the_cap():
     proc = _run_script("dp_scale.py", "--max-n", str(PROFILE_MAX_VERTICES + 1))
     assert proc.returncode == 2
     assert "--max-n" in proc.stderr
+
+
+def test_output_digests_match_the_determinism_contract():
+    # seed 1: the three benchmark workloads and soundness_table.py --max-n 6
+    proc = _run_script("output_digests.py", "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert dict(line.split() for line in proc.stdout.splitlines()) == {
+        "bound-all": "a6cc5a94154106b43edad65cee725388de1149aa3131049ac83d809d2ade6ba2",
+        "exact-oracle": "302c43dbb02824ec465a4d0082c0f3f2da68c82e0159efdd5774cd0c228d0758",
+        "sweep": "94d50e1dbaed38cd7edb35ae11e3da1404cc73e734de9150ed91c6b4077b5ff8",
+        "soundness_table": "064ccb9cb7925a16158b2800bc98c04b3fd10bb1940c623f085896f4df8aea71",
+    }

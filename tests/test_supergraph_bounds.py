@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from boxkit import harness, isoperimetry, supergraph_bounds, tables
 from boxkit.errors import PROFILE_MAX_VERTICES
 from boxkit.graphs import (
     complement,
@@ -14,6 +15,7 @@ from boxkit.graphs import (
     path,
 )
 from boxkit.intervals import boxicity_exact, canonical_supergraph
+from boxkit.harness import run_bounds
 from boxkit.isoperimetry import iso_profile, max_strong_boundary
 from boxkit.supergraph_bounds import (
     degree_ratio_bound,
@@ -24,6 +26,8 @@ from boxkit.supergraph_bounds import (
 )
 from boxkit.families import (
     RandomModelSpec,
+    bipartite_tight_family,
+    cobipartite_tight_family,
     complement_cycle,
     complete_multipartite,
     enumerate_graphs,
@@ -255,3 +259,56 @@ def test_strong_boundary_certificate_profile_matches_direct():
     report = strong_boundary_bound(g)
     direct = iso_profile(complement(g))
     assert report.certificate["complement_profile"] == direct
+
+
+def _regular_complements():
+    """Graphs whose complement is regular, so that family reaches its
+    square-free test, with both outcomes."""
+    return ([cycle(4), complement(cycle(3)), complete_multipartite(2, 9), complement(petersen()),
+             cobipartite_tight_family(3, 3).graph, bipartite_tight_family(3, 3).graph]
+            + [sample(RandomModelSpec("regular", n, seed, k=k))
+               for n, k in ((18, 13), (20, 3), (22, 16)) for seed in (1, 2)])
+
+
+@pytest.mark.parametrize("g", _regular_complements(), ids=lambda g: f"n{g.n}m{g.edge_count}")
+def test_family_reads_the_profile_and_scans_no_single_size(monkeypatch, g):
+    # the square-free test reads the complement's profile and the generic
+    # value the strong_boundary report, so no one-size scan runs and the
+    # strong_boundary bound is computed once
+    expected = detect_family_bound(g)
+    square_free = max_strong_boundary(complement(g), 2)[0] <= 1
+
+    def refuse(*args):
+        raise AssertionError("family ran a single-size scan")
+
+    monkeypatch.setattr(isoperimetry, "_least_union", refuse)
+    monkeypatch.setattr(isoperimetry.LeastUnions, "least", refuse)
+    calls = []
+    real = supergraph_bounds.strong_boundary_bound
+
+    def counted(tables):
+        calls.append(tables)
+        return real(tables)
+
+    monkeypatch.setattr(supergraph_bounds, "strong_boundary_bound", counted)
+    monkeypatch.setattr(harness, "strong_boundary_bound", counted)
+    strong, family = run_bounds(g, ["strong_boundary", "family"])
+    assert family == expected
+    assert len(calls) == 1
+    if family.applicable:
+        assert family.certificate["generic_value"] == strong.value
+        assert family.certificate["family"] == "complement_cycle" or square_free
+    else:
+        assert not square_free
+
+
+def test_strong_boundary_builds_no_complement(monkeypatch):
+    # the complement's edge count is n(n - 1)/2 - m
+    g = sample(RandomModelSpec("gnp", 12, 3, p=Fraction(1, 2)))
+    total = sum(iso_profile(complement(g)).max_strong_boundary)
+
+    def refuse(g):
+        raise AssertionError("complement built")
+
+    monkeypatch.setattr(tables, "complement", refuse)
+    assert strong_boundary_bound(g).value == Fraction(complement(g).edge_count, total)

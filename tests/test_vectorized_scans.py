@@ -2,7 +2,8 @@
 adjacency matrix against the loops and scans they replaced, kept here as
 oracles.  The split-half supergraph DP is also checked against the
 layered numpy DP it replaced, which reaches sizes the plain loop does
-not."""
+not, and the least closed unions it folds against the profile's scan.
+Counting tests check which tables one graph's bounds build."""
 
 from fractions import Fraction
 from itertools import accumulate, combinations, pairwise
@@ -36,6 +37,9 @@ from boxkit.graphs import (
     from_pair_mask,
     open_neighborhood,
 )
+from boxkit import intervals, isoperimetry, tables
+from boxkit.expansion_bounds import _strip_universal
+from boxkit.harness import run_bounds
 from boxkit.intervals import (
     _UNFILLED,
     Ordering,
@@ -43,13 +47,14 @@ from boxkit.intervals import (
     canonical_supergraph,
     min_interval_supergraph,
 )
-from boxkit import isoperimetry
 from boxkit.isoperimetry import (
     IsoProfile,
+    LeastUnions,
     _fill_layers,
     _layer_starts,
     _layers,
     _least_union,
+    _least_unions,
     complement_profile,
     iso_profile,
     max_strong_boundary,
@@ -217,9 +222,21 @@ def _splits(g):
     return out
 
 
+def _closed_rows(g):
+    return [row | 1 << v for v, row in enumerate(g.rows)]
+
+
+def _assert_fold_matches_scan(g):
+    """The DP's folded least closed unions are the profile scan's, values
+    and witnesses."""
+    assert min_interval_supergraph(g).closed_unions == tuple(
+        _least_unions(_closed_rows(g), range(1, g.n)))
+
+
 def _assert_matches_oracles(g):
     result = min_interval_supergraph(g)
     assert (result.edge_count, result.ordering.sequence()) == _python_min_supergraph(g)
+    _assert_fold_matches_scan(g)
     assert iso_profile(g) == _scan_iso_profile(g)
     co = complement(g)
     for pool_mask, target in _splits(g):
@@ -323,6 +340,7 @@ def _bound_all_models(n):
 ], ids=lambda g: f"n{g.n}m{g.edge_count}")
 def test_split_dp_matches_layered_dp(g):
     assert _dp_result(g) == _layered_min_supergraph(g)
+    _assert_fold_matches_scan(g)
 
 
 def _odd_drawn(n):
@@ -434,9 +452,7 @@ def test_split_profile_matches_full_tables_across_row_chunks(monkeypatch, entrie
     monkeypatch.setattr(isoperimetry, "_CHUNK_ENTRIES", entries)
     for n in (10, 11, 12):
         for g in [empty_graph(n), complete_graph(n)] + _profile_drawn(n):
-            isoperimetry.iso_profile.cache_clear()
             assert iso_profile(g) == _full_table_profile(g)
-    isoperimetry.iso_profile.cache_clear()
 
 
 def test_profile_temporaries_stay_within_the_chunk(monkeypatch):
@@ -452,7 +468,6 @@ def test_profile_temporaries_stay_within_the_chunk(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    isoperimetry.iso_profile.cache_clear()
     assert peak < 1 << 17
 
 
@@ -461,3 +476,99 @@ def test_profile_tables_fit_their_dtypes():
     # least one whole row of low-half subsets
     assert PROFILE_MAX_VERTICES <= 32
     assert 1 << PROFILE_MAX_VERTICES // 2 <= isoperimetry._CHUNK_ENTRIES
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 13, 18])
+def test_dp_fold_matches_scan_on_empty_and_complete_graphs(n):
+    # every set of a size ties, so each witness is {0 .. k-1}
+    for g in (empty_graph(n), complete_graph(n)):
+        _assert_fold_matches_scan(g)
+        assert [mask for _, mask in min_interval_supergraph(g).closed_unions] == [
+            (1 << k) - 1 for k in range(1, n)]
+
+
+@pytest.mark.parametrize("n", [17, 19, 20])
+def test_dp_fold_matches_scan_on_drawn_graphs(n):
+    for g in _profile_drawn(n):
+        _assert_fold_matches_scan(g)
+
+
+def _rows_and_sizes(n, width, seed):
+    """Rows thinned by ANDing draws, so unions tie often, with some empty
+    rows and some repeated ones."""
+    rng = np.random.default_rng(seed)
+    rows = [int(rng.integers(0, 1 << width)) & int(rng.integers(0, 1 << width))
+            for _ in range(n)]
+    for i in rng.choice(n, size=n // 4, replace=False):
+        rows[i] = 0 if i % 2 else rows[0]
+    return rows
+
+
+@pytest.mark.parametrize("n", [18, 20, 22])
+def test_routed_scan_matches_colex_on_every_size(n):
+    rows = _rows_and_sizes(n, n, n)
+    unions = LeastUnions(rows)
+    for k in range(1, n + 1):
+        assert unions.least(k) == _least_union(rows, k), k
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+NAMED_18 = [complement_cycle(18), complete_multipartite(2, 9),
+            cobipartite_tight_family(3, 3).graph, bipartite_tight_family(3, 3).graph]
+
+
+@pytest.mark.parametrize("g", NAMED_18 + _bound_all_models(18)[:3],
+                         ids=lambda g: f"n{g.n}m{g.edge_count}")
+def test_all_builds_the_closed_half_tables_once(monkeypatch, g):
+    builds = _count_calls(monkeypatch, isoperimetry, "_half_tables")
+    monkeypatch.setattr(intervals, "_half_tables", isoperimetry._half_tables)
+    scans = _count_calls(monkeypatch, isoperimetry, "_least_unions")
+    dps = _count_calls(monkeypatch, tables, "min_interval_supergraph")
+    run_bounds(g, ["all"])
+    assert len(dps) == 1
+    assert [list(rows) for rows, in builds].count(_closed_rows(g)) == 1
+    # the profile's one scan over all sizes is of the complement's rows
+    assert [(list(rows), sizes) for rows, sizes, *_ in scans if len(sizes) > 1] == [
+        (_closed_rows(complement(g)), range(1, g.n))]
+    assert all(list(rows) != _closed_rows(g) for rows, *_ in scans)
+
+
+def test_strong_boundary_alone_runs_both_scans_and_no_dp(monkeypatch):
+    dps = _count_calls(monkeypatch, tables, "min_interval_supergraph")
+    scans = _count_calls(monkeypatch, isoperimetry, "_least_unions")
+    for g in NAMED_18[:2]:
+        scans.clear()
+        run_bounds(g, ["strong_boundary"])
+        assert [list(rows) for rows, *_ in scans] == [
+            _closed_rows(g), _closed_rows(complement(g))]
+    assert dps == []
+
+
+def test_alternating_scans_build_no_layout_twice(monkeypatch):
+    # 18 rows split 9 + 9 and 9 rows split 4 + 5: three half sizes
+    fills = _count_calls(monkeypatch, isoperimetry, "_fill_layers")
+    isoperimetry._half_layout.cache_clear()
+    long_rows, short_rows = _rows_and_sizes(18, 18, 1), _rows_and_sizes(9, 9, 2)
+    for _ in range(3):
+        for rows in (long_rows, short_rows):
+            for k in (1, 2, 5):
+                LeastUnions(rows).least(k)
+    assert sorted(len(rows) for _, rows, _ in fills) == [4, 5, 9]
+
+
+@pytest.mark.parametrize("g", NAMED_18 + [complement_cycle(9), empty_graph(5)],
+                         ids=lambda g: f"n{g.n}m{g.edge_count}")
+def test_strip_universal_keeps_a_graph_without_universal_vertices(g):
+    core, labels = _strip_universal(g)
+    assert core is g and labels == members(g.vertices)
