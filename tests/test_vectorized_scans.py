@@ -493,7 +493,7 @@ def test_dp_fold_matches_scan_on_drawn_graphs(n):
         _assert_fold_matches_scan(g)
 
 
-def _rows_and_sizes(n, width, seed):
+def _tied_rows(n, width, seed):
     """Rows thinned by ANDing draws, so unions tie often, with some empty
     rows and some repeated ones."""
     rng = np.random.default_rng(seed)
@@ -506,7 +506,7 @@ def _rows_and_sizes(n, width, seed):
 
 @pytest.mark.parametrize("n", [18, 20, 22])
 def test_routed_scan_matches_colex_on_every_size(n):
-    rows = _rows_and_sizes(n, n, n)
+    rows = _tied_rows(n, n, n)
     unions = LeastUnions(rows)
     for k in range(1, n + 1):
         assert unions.least(k) == _least_union(rows, k), k
@@ -559,7 +559,7 @@ def test_alternating_scans_build_no_layout_twice(monkeypatch):
     # 18 rows split 9 + 9 and 9 rows split 4 + 5: three half sizes
     fills = _count_calls(monkeypatch, isoperimetry, "_fill_layers")
     isoperimetry._half_layout.cache_clear()
-    long_rows, short_rows = _rows_and_sizes(18, 18, 1), _rows_and_sizes(9, 9, 2)
+    long_rows, short_rows = _tied_rows(18, 18, 1), _tied_rows(9, 9, 2)
     for _ in range(3):
         for rows in (long_rows, short_rows):
             for k in (1, 2, 5):
