@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import PROFILE_MAX_VERTICES
 from .graphs import Graph, degree_summary, is_complete, is_connected
-from .isoperimetry import complement_profile, max_strong_boundary
+from .isoperimetry import complement_profile
 from .reports import BoundReport, bound_report, not_applicable
 from .tables import GraphTables, tables_of
 
@@ -55,25 +55,15 @@ def strong_boundary_bound(g: Graph | GraphTables) -> BoundReport:
     its full certificate.  The complement's profile comes from g's own
     (complement_profile), so this bound and min_supergraph_bound share
     g's boundary table."""
-    return _strong_boundary_report(tables_of(g))
-
-
-def _strong_boundary_report(tables: GraphTables) -> BoundReport:
-    """strong_boundary's report, built once per graph; family reads its
-    value too."""
-    report = tables.reports.get(STRONG_BOUNDARY)
-    if report is None:
-        g = tables.graph
-        if is_complete(g):
-            report = not_applicable(STRONG_BOUNDARY, "complete_graph")
-        else:
-            profile = complement_profile(tables.profile)
-            total = sum(profile.max_strong_boundary)
-            value = Fraction(g.n * (g.n - 1) // 2 - g.edge_count, total)
-            cert = {"complement_profile": profile, "profile_sum": total}
-            report = bound_report(STRONG_BOUNDARY, value, cert)
-        tables.reports[STRONG_BOUNDARY] = report
-    return report
+    tables = tables_of(g)
+    g = tables.graph
+    if is_complete(g):
+        return not_applicable(STRONG_BOUNDARY, "complete_graph")
+    profile = complement_profile(tables.profile)
+    total = sum(profile.max_strong_boundary)
+    value = Fraction(g.n * (g.n - 1) // 2 - g.edge_count, total)
+    cert = {"complement_profile": profile, "profile_sum": total}
+    return bound_report(STRONG_BOUNDARY, value, cert)
 
 
 def regular_complement_bound(n: int, k: int, g: Graph) -> BoundReport:
@@ -100,8 +90,11 @@ def detect_family_bound(g: Graph | GraphTables) -> BoundReport:
         form needs regularity: the profile tail vanishes above the
         degree, and the complement's edge count is nk/2.
 
-    The cycle is tried first.  Up to the profile's cap the square-free
-    test reads the complement's profile, and the certificate also
+    The cycle is tried first.  The complement's closed neighbourhoods
+    miss exactly g's, so max_strong_boundary(2) of the complement is n
+    minus the least union of two of g's closed neighbourhoods, which the
+    tables keep (the supergraph DP or the profile has already found it
+    when they ran).  Up to the profile's cap the certificate also
     carries strong_boundary_bound's value, which each closed form never
     exceeds.
     """
@@ -112,17 +105,15 @@ def detect_family_bound(g: Graph | GraphTables) -> BoundReport:
     summary = tables.complement_degrees
     if not summary.is_regular:
         return not_applicable(FAMILY, "no_family_detected")
-    profiled = g.n <= PROFILE_MAX_VERTICES
     if g.n >= 5 and summary.min_degree == 2 and is_connected(tables.complement):
         family, k, value = "complement_cycle", None, Fraction(g.n, 3)
-    elif (complement_profile(tables.profile).max_strong_boundary[1] if profiled and g.n > 2
-          else max_strong_boundary(tables.complement, 2)[0]) <= 1:
+    elif g.n - tables.unions(tables.closed_rows).least(2)[0] <= 1:
         family, k, value = "c4free", summary.min_degree, Fraction(g.n, 4)
     else:
         return not_applicable(FAMILY, "no_family_detected")
     cert = {"family": family, "n": g.n, "k": k, "verified": True}
-    if profiled:
-        cert["generic_value"] = _strong_boundary_report(tables).value
+    if g.n <= PROFILE_MAX_VERTICES:
+        cert["generic_value"] = strong_boundary_bound(tables).value
     return bound_report(FAMILY, value, cert)
 
 

@@ -22,7 +22,6 @@ from functools import cached_property
 from .graphs import DegreeSummary, Graph, complement, degree_summary
 from .intervals import MinSupergraph, min_interval_supergraph
 from .isoperimetry import IsoProfile, LeastUnions, iso_profile
-from .reports import BoundReport
 
 
 class GraphTables:
@@ -30,8 +29,6 @@ class GraphTables:
 
     def __init__(self, g: Graph) -> None:
         self.graph = g
-        # reports one bound reads from another: family reads strong_boundary's
-        self.reports: dict[str, BoundReport] = {}
         self._unions: dict[tuple[int, ...], LeastUnions] = {}
 
     @cached_property

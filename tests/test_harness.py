@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from boxkit import cli, harness, intervals, isoperimetry
+from boxkit import cli, harness, intervals, isoperimetry, tables
 from boxkit.cli import main
 from boxkit.edgelist import (
     format_edge_list,
@@ -421,6 +421,32 @@ def test_run_experiment_cell_means_match_rows():
                 assert cell.mean_values[tok] == sum(values) / len(values)
             else:
                 assert cell.mean_values[tok] is None
+
+
+def test_run_experiment_shares_each_samples_tables(monkeypatch):
+    # family reads the strong_boundary profile of its own sample, so the
+    # profile is swept once per sample, and the rows are those of each
+    # bound run alone
+    config = ExperimentConfig(model="regular", n_values=(12,), k_values=(9,), seeds=5,
+                              master_seed=3, bounds=("strong_boundary", "family"))
+    profiles = []
+    real = tables.iso_profile
+
+    def counted(g, closed_unions=None):
+        profiles.append(g)
+        return real(g, closed_unions)
+
+    monkeypatch.setattr(tables, "iso_profile", counted)
+    result = run_experiment(config)
+    assert len(profiles) == config.seeds
+    assert any(row.bound_name == "family" and not row.value.startswith("na:")
+               for row in result.rows)
+    monkeypatch.undo()
+    for i, g in enumerate(profiles):
+        pair = result.rows[2 * i:2 * i + 2]
+        alone = [run_bounds(g, [tok])[0] for tok in config.bounds]
+        assert pair == tuple(rows_from_reports(alone, seed=pair[0].seed, model="regular",
+                                               n=12, m=g.edge_count, param="9"))
 
 
 def test_format_summary_lines():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from boxkit import harness, isoperimetry, supergraph_bounds, tables
+from boxkit import isoperimetry, tables
 from boxkit.errors import PROFILE_MAX_VERTICES
 from boxkit.graphs import (
     complement,
@@ -15,7 +15,6 @@ from boxkit.graphs import (
     path,
 )
 from boxkit.intervals import boxicity_exact, canonical_supergraph
-from boxkit.harness import run_bounds
 from boxkit.isoperimetry import iso_profile, max_strong_boundary
 from boxkit.supergraph_bounds import (
     degree_ratio_bound,
@@ -272,29 +271,22 @@ def _regular_complements():
 
 @pytest.mark.parametrize("g", _regular_complements(), ids=lambda g: f"n{g.n}m{g.edge_count}")
 def test_family_reads_the_profile_and_scans_no_single_size(monkeypatch, g):
-    # the square-free test reads the complement's profile and the generic
-    # value the strong_boundary report, so no one-size scan runs and the
-    # strong_boundary bound is computed once
+    # after strong_boundary, the square-free test reads the least closed
+    # unions the profile found, and the generic value the profile, so
+    # family runs no scan of its own
     expected = detect_family_bound(g)
     square_free = max_strong_boundary(complement(g), 2)[0] <= 1
+    shared = tables.GraphTables(g)
+    strong = strong_boundary_bound(shared)
 
-    def refuse(*args):
-        raise AssertionError("family ran a single-size scan")
+    def refuse(*args, **kwargs):
+        raise AssertionError("family ran a scan")
 
     monkeypatch.setattr(isoperimetry, "_least_union", refuse)
-    monkeypatch.setattr(isoperimetry.LeastUnions, "least", refuse)
-    calls = []
-    real = supergraph_bounds.strong_boundary_bound
-
-    def counted(tables):
-        calls.append(tables)
-        return real(tables)
-
-    monkeypatch.setattr(supergraph_bounds, "strong_boundary_bound", counted)
-    monkeypatch.setattr(harness, "strong_boundary_bound", counted)
-    strong, family = run_bounds(g, ["strong_boundary", "family"])
+    monkeypatch.setattr(isoperimetry, "_least_unions", refuse)
+    monkeypatch.setattr(tables, "iso_profile", refuse)
+    family = detect_family_bound(shared)
     assert family == expected
-    assert len(calls) == 1
     if family.applicable:
         assert family.certificate["generic_value"] == strong.value
         assert family.certificate["family"] == "complement_cycle" or square_free
