@@ -1,10 +1,13 @@
 """Golden bytes for `run_bounds(g, ["all"])`.
 
-Each digest is the sha256 of one line per report, "name value
-repr(certificate)", so it covers every value and certificate, orderings
-and traces included.  A change meant to keep output unchanged (a faster
-DP, a shared table) must keep these digests; a change that alters output
-on purpose updates them and says so.
+Each certificate digest is the sha256 of one line per report, "name
+value repr(certificate)", so it covers every value and certificate,
+orderings and traces included.  Each CSV digest is the sha256 of the
+reports' CSV rows as `bound` writes them, so it covers every emitted
+value, ceiling and reason but no certificate.  A change meant to keep
+output unchanged (a faster DP, a shared table) must keep both; a change
+that reshapes a certificate on purpose updates the certificate digests,
+says so, and keeps the CSV digests.
 """
 
 import hashlib
@@ -20,7 +23,7 @@ from boxkit.families import (
     complete_multipartite,
     sample,
 )
-from boxkit.harness import run_bounds
+from boxkit.harness import emit, rows_from_reports, run_bounds
 
 
 def _report_text(g) -> str:
@@ -57,10 +60,36 @@ GOLDEN_18 = [
 ]
 
 
-@pytest.mark.parametrize("build, digest", GOLDEN + GOLDEN_18,
-                         ids=["co-C14", "gnp13-seed5", "bipartite_gnp12-seed3",
-                              "co-C18", "K_2x9", "cobipartite(3,3)", "bipartite(3,3)",
-                              "regular18-k13-seed1", "bipartite_gnp18-seed1"])
+IDS = ["co-C14", "gnp13-seed5", "bipartite_gnp12-seed3",
+       "co-C18", "K_2x9", "cobipartite(3,3)", "bipartite(3,3)",
+       "regular18-k13-seed1", "bipartite_gnp18-seed1"]
+
+
+@pytest.mark.parametrize("build, digest", GOLDEN + GOLDEN_18, ids=IDS)
 def test_run_bounds_all_output_bytes_are_pinned(build, digest):
     text = _report_text(build())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# The CSV rows of the same graphs, in the order of GOLDEN + GOLDEN_18.
+CSV_DIGESTS = [
+    "d838451e8cd8cb6f13862a2c41ae453c15e3ea20c1e28900c76e09520a164778",
+    "f3fb28be26a598aac9a8e1eff6d566647cf8b575d351efa0ee68278a3c4efd7c",
+    "87b86bbcd910c820fbd2b6ba1c50b1323fc8718717df7e2c0509afbc6cebeddd",
+    "b83309533717eaf009f6e7d13cd95291599bc40130aac46420e70af05bb957cb",
+    "144ce950c29f14affcb255e213953d407b1d38a1082498e6c788c986ae7f81ba",
+    "c6b8f0a18a30f89ff836d4c54cd498b13351c818fa826650054e1c71a51469b3",
+    "88d0cb9819b452d4352e8a709a31ef3be7aac2e837e1b7e0535dd14fdd64997b",
+    "c0d8bca64e86e7c2af96c709f22a0669dd1da6947d064305db36c402279bbd55",
+    "24b1c2ea46353d9cb1e0ab78fef3922cc7b2f92b1023a47cee57a7f708d182ef",
+]
+
+
+@pytest.mark.parametrize("build, digest",
+                         [(build, digest) for (build, _), digest in
+                          zip(GOLDEN + GOLDEN_18, CSV_DIGESTS, strict=True)], ids=IDS)
+def test_run_bounds_all_csv_bytes_are_pinned(build, digest):
+    g = build()
+    rows = rows_from_reports(run_bounds(g, ["all"]), seed=0, model="input", n=g.n,
+                             m=g.edge_count, param="")
+    assert hashlib.sha256(emit(rows, "csv").encode()).hexdigest() == digest
