@@ -73,7 +73,6 @@ from .intervals import (
 )
 from .isoperimetry import (
     IsoProfile,
-    complement_profile,
     iso_profile,
     max_strong_boundary,
     min_boundary,

@@ -17,8 +17,8 @@ its table by the subsets of two halves of the vertex set, rows by one
 half and columns by the other, so that each step reads whole rows.  The
 closed-neighbourhood unions it reads are the same ones the isoperimetric
 profile minimizes, so the DP folds their least size for every subset
-size, with the profile's witnesses, and the profile need not scan them
-again.
+size, with the profile's witnesses, and the strong boundary bound need
+not scan them again.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
     array, reduced to its minimum; its first minimum in (column, row)
     order is its lexicographically smallest witness, and the blocks'
     witnesses are compared as the profile scan (_least_unions) compares
-    them.  So closed_unions equals the profile's least closed unions,
+    them.  So closed_unions equals LeastUnions.every on the closed rows,
     witnesses included.
 
     No choice table is kept.  The ordering is walked back from the

@@ -9,8 +9,8 @@ values computed here.  The two are tied through complementation:
     max_strong(k, complement(g)) = n - k - min_boundary(k, g)
     min_boundary(k, complement(g)) = n - k - max_strong(k, g)
 
-so complement_profile derives the complement's profile, witnesses
-included, from the graph's own.
+so a bound on the complement's strong boundaries reads g's least closed
+unions, with the same lexicographically smallest witnesses.
 
 No table here spans all 2^n subsets.  The vertices are split into the
 low half L = {0 .. n//2 - 1} and the high half H, and the subsets of
@@ -31,13 +31,14 @@ supergraph DP keeps its table in the same (high half x low half) shape
 and folds the least closed unions of every size as it goes.  Which scan
 serves which sizes:
 
-  every k = 1 .. n-1 (iso_profile): _least_unions over all blocks, once
-      per row list; g's closed rows are skipped when the DP has folded
-      them (closed_unions).
+  every k = 1 .. n-1 (LeastUnions.every: iso_profile, the strong
+      boundary bound): _least_unions over all blocks, once per row
+      list, unless every size is already found (g's closed rows, when
+      the DP has folded them).
   one k (min_boundary, max_strong_boundary, the expansion bound's
-      beta_t and m_j): LeastUnions, which runs _least_unions on the
-      blocks of that k alone for up to PROFILE_MAX_VERTICES rows of up
-      to 32 bits, building the half tables once per row list, and
+      beta_t and m_j): LeastUnions.least, which runs _least_unions on
+      the blocks of that k alone for up to PROFILE_MAX_VERTICES rows of
+      up to 32 bits, building the half tables once per row list, and
       _least_union's prefix scan in colex order for longer or wider
       rows.
 """
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, pairwise
 from math import comb
 from typing import NamedTuple
@@ -168,12 +169,12 @@ def _improves(held: tuple[int, int] | None, value: int, mask: int) -> bool:
     return held is None or value < held[0] or value == held[0] and _precedes(mask, held[1])
 
 
-def _least_unions(rows, sizes: range, halves=None) -> list[tuple[int, int]]:
+def _least_unions(rows, sizes: range, halves) -> list[tuple[int, int]]:
     """For each k in sizes, the least |rows[x1] | ... | rows[xk]| over
     the sets X of size k, with its lexicographically smallest witness.
 
     Each union is the OR of one low-half and one high-half table entry
-    (halves, or _half_tables(rows) when not given).  Against high layer
+    (halves, as _half_tables(rows) builds them).  Against high layer
     a only the low layers b = k - a of the wanted sizes are scanned, as
     one span of columns.  The unions are computed a chunk of high rows
     at a time, as a (high rows x low subsets) array of popcounts of at
@@ -195,7 +196,7 @@ def _least_unions(rows, sizes: range, halves=None) -> list[tuple[int, int]]:
     h = n // 2
     low, high = _split_layouts(n)
     low_masks, high_masks = low.mask_list, high.mask_list
-    low_table, high_table = _half_tables(rows) if halves is None else halves
+    low_table, high_table = halves
     # one chunk's buffers, as the whole-profile scan fills them, whatever
     # the sizes: their pages are only touched as far as a block needs
     size = min(len(low_table) * len(high_table), max(_CHUNK_ENTRIES, len(low_table)))
@@ -235,17 +236,20 @@ class LeastUnions:
     least(k) is the least |rows[x1] | ... | rows[xk]| over the k-subsets
     X of range(len(rows)), with its lexicographically smallest witness.
     Each size is scanned once and kept in found, where a caller that
-    has the values already (the supergraph DP, the profile) may put
-    them.  Up to PROFILE_MAX_VERTICES rows of up to 32 bits, a size is
-    scanned by _least_unions over split halves, whose half tables are
-    built on the first such scan and kept; longer or wider row lists
-    take _least_union's prefix scan.
+    has the values already (the supergraph DP) may put them.  Up to
+    PROFILE_MAX_VERTICES rows of up to 32 bits, a size is scanned by
+    _least_unions over split halves, whose half tables are built on the
+    first such scan and kept; longer or wider row lists take
+    _least_union's prefix scan.
     """
 
     def __init__(self, rows) -> None:
         self.rows = tuple(rows)
         self.found: dict[int, tuple[int, int]] = {}
-        self._halves = None
+
+    @cached_property
+    def _halves(self) -> tuple[np.ndarray, np.ndarray]:
+        return _half_tables(self.rows)
 
     def least(self, k: int) -> tuple[int, int]:
         rows = self.rows
@@ -255,12 +259,22 @@ class LeastUnions:
         check_subset_budget(n, k)
         if k not in self.found:
             if n <= PROFILE_MAX_VERTICES and max(rows) >> 32 == 0:
-                if self._halves is None:
-                    self._halves = _half_tables(rows)
                 self.found[k] = _least_unions(rows, range(k, k + 1), self._halves)[0]
             else:
                 self.found[k] = _least_union(rows, k)
         return self.found[k]
+
+    def every(self) -> tuple[tuple[int, int], ...]:
+        """least(k) for k = 1 .. len(rows) - 1: the sizes found already
+        when all of them are, one _least_unions scan over all sizes
+        otherwise.  The rows are a graph's, of at most len(rows) bits,
+        and at most PROFILE_MAX_VERTICES of them."""
+        n = len(self.rows)
+        check_vertex_cap(n, PROFILE_MAX_VERTICES)
+        sizes = range(1, n)
+        if any(k not in self.found for k in sizes):
+            self.found.update(zip(sizes, _least_unions(self.rows, sizes, self._halves)))
+        return tuple(self.found[k] for k in sizes)
 
 
 @dataclass(frozen=True)
@@ -278,7 +292,7 @@ class IsoProfile:
     max_strong_boundary_witness: tuple[int, ...]
 
 
-def iso_profile(g: Graph, closed_unions=None) -> IsoProfile:
+def iso_profile(g: Graph) -> IsoProfile:
     """Both profiles from two least-union scans.
 
     Without self-loops, |Gamma(X)| = |N[x1] | ... | N[xk]| - |X| over
@@ -287,43 +301,16 @@ def iso_profile(g: Graph, closed_unions=None) -> IsoProfile:
     X are the vertices outside V - N(x1) | ... | V - N(xk), the union of
     the complement's closed neighbourhoods, so the largest strong
     boundary is n minus that union's least size, with the same witness.
-    closed_unions, when given, holds the first scan's result (value and
-    witness for k = 1 .. n-1, as the supergraph DP folds it), and only
-    the complement's rows are scanned.
     """
     n = g.n
-    check_vertex_cap(n, PROFILE_MAX_VERTICES)
-    full = (1 << n) - 1
-    sizes = range(1, n)
-    if closed_unions is None:
-        closed_unions = _least_unions([row | 1 << v for v, row in enumerate(g.rows)], sizes)
-    missed = _least_unions([full & ~row for row in g.rows], sizes)
+    closed = LeastUnions(row | 1 << v for v, row in enumerate(g.rows)).every()
+    missed = LeastUnions(g.vertices & ~row for row in g.rows).every()
     return IsoProfile(
         n,
-        tuple(value - k for k, (value, _) in enumerate(closed_unions, 1)),
+        tuple(value - k for k, (value, _) in enumerate(closed, 1)),
         tuple(n - value for value, _ in missed),
-        tuple(mask for _, mask in closed_unions),
+        tuple(mask for _, mask in closed),
         tuple(mask for _, mask in missed),
-    )
-
-
-def complement_profile(profile: IsoProfile) -> IsoProfile:
-    """The profile of the complement, from the graph's own profile.
-
-    Outside X, a vertex lies in the complement's strong boundary exactly
-    when it lies outside g's boundary, and in the complement's boundary
-    exactly when it lies outside g's strong boundary.  So each extremum
-    of one graph is the other's with the same lexicographically smallest
-    witness.
-    """
-    n = profile.n
-    sizes = range(1, n)
-    return IsoProfile(
-        n,
-        tuple(n - k - s for k, s in zip(sizes, profile.max_strong_boundary)),
-        tuple(n - k - b for k, b in zip(sizes, profile.min_boundary)),
-        profile.max_strong_boundary_witness,
-        profile.min_boundary_witness,
     )
 
 

@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from .errors import PROFILE_MAX_VERTICES
 from .graphs import Graph, degree_summary, is_complete, is_connected
-from .isoperimetry import complement_profile
 from .reports import BoundReport, bound_report, not_applicable
 from .tables import GraphTables, tables_of
 
@@ -52,17 +51,23 @@ def strong_boundary_bound(g: Graph | GraphTables) -> BoundReport:
     """nonedges(g) divided by the summed strong-boundary profile of the
     complement.  Weaker than min_supergraph_bound but the profile is the
     quantity closed-form family bounds estimate, so it is reported with
-    its full certificate.  The complement's profile comes from g's own
-    (complement_profile), so this bound and min_supergraph_bound share
-    g's boundary table."""
+    its full certificate: for each k = 1 .. n-1 the largest strong
+    boundary s_k of a k-set in the complement, a k-set X_k reaching it,
+    and the sum.  Outside X a vertex is a common complement neighbour of
+    X exactly when it lies outside N[X] in g, so s_k is n minus the
+    least union of k of g's closed neighbourhoods, and X_k its
+    lexicographically smallest witness; the tables keep those unions,
+    which the supergraph DP has folded when it ran."""
     tables = tables_of(g)
     g = tables.graph
     if is_complete(g):
         return not_applicable(STRONG_BOUNDARY, "complete_graph")
-    profile = complement_profile(tables.profile)
-    total = sum(profile.max_strong_boundary)
+    unions = tables.unions(tables.closed_rows).every()
+    strong = tuple(g.n - value for value, _ in unions)
+    total = sum(strong)
     value = Fraction(g.n * (g.n - 1) // 2 - g.edge_count, total)
-    cert = {"complement_profile": profile, "profile_sum": total}
+    cert = {"max_strong_boundary": strong, "witnesses": tuple(mask for _, mask in unions),
+            "profile_sum": total}
     return bound_report(STRONG_BOUNDARY, value, cert)
 
 
@@ -93,10 +98,10 @@ def detect_family_bound(g: Graph | GraphTables) -> BoundReport:
     The cycle is tried first.  The complement's closed neighbourhoods
     miss exactly g's, so max_strong_boundary(2) of the complement is n
     minus the least union of two of g's closed neighbourhoods, which the
-    tables keep (the supergraph DP or the profile has already found it
-    when they ran).  Up to the profile's cap the certificate also
-    carries strong_boundary_bound's value, which each closed form never
-    exceeds.
+    tables keep (the supergraph DP or strong_boundary_bound has already
+    found it when they ran).  Up to the profile's cap the certificate
+    also carries strong_boundary_bound's value, which each closed form
+    never exceeds; it reads the same unions, all sizes at once.
     """
     tables = tables_of(g)
     g = tables.graph

@@ -9,8 +9,9 @@ The least unions of one row list are kept in one LeastUnions per
 distinct list (unions), so a scan's half tables and sizes serve every
 later query on the same rows.  The supergraph DP folds g's least closed
 unions as it fills its table, and puts them in the closed rows' entry;
-the profile then scans only the complement's rows, and the expansion
-bound reads beta_t there when its subsets and targets are all of g.
+the strong boundary bound and the family bound's square-free test then
+read them there without a scan, and the expansion bound reads beta_t
+there when its subsets and targets are all of g.
 The layer functions are called through this module's globals, so a
 wrapper installed over them (a tracer's) sees every call.
 """
@@ -21,7 +22,7 @@ from functools import cached_property
 
 from .graphs import DegreeSummary, Graph, complement, degree_summary
 from .intervals import MinSupergraph, min_interval_supergraph
-from .isoperimetry import IsoProfile, LeastUnions, iso_profile
+from .isoperimetry import LeastUnions
 
 
 class GraphTables:
@@ -62,18 +63,6 @@ class GraphTables:
         result = min_interval_supergraph(self.graph)
         self.unions(self.closed_rows).found.update(enumerate(result.closed_unions, 1))
         return result
-
-    @cached_property
-    def profile(self) -> IsoProfile:
-        """Both isoperimetric profiles of g.  The least closed unions are
-        scanned only when the DP has not already folded them."""
-        n = self.graph.n
-        closed = self.unions(self.closed_rows)
-        known = [closed.found.get(k) for k in range(1, n)]
-        profile = iso_profile(self.graph, None if None in known else known)
-        closed.found.update((k, (b + k, w)) for k, (b, w) in enumerate(
-            zip(profile.min_boundary, profile.min_boundary_witness), 1))
-        return profile
 
 
 def tables_of(g: Graph | GraphTables) -> GraphTables:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from boxkit import cli, harness, intervals, isoperimetry, tables
+from boxkit import cli, harness, intervals, isoperimetry
 from boxkit.cli import main
 from boxkit.edgelist import (
     format_edge_list,
@@ -24,7 +24,7 @@ from boxkit.families import (
     enumerate_graphs,
     sample,
 )
-from boxkit.graphs import complement, complete_graph, cycle, empty_graph
+from boxkit.graphs import Graph, complement, complete_graph, cycle, empty_graph
 from boxkit.harness import (
     ALL_BOUNDS,
     BOUNDS,
@@ -159,17 +159,19 @@ def test_family_reuses_the_strong_boundary_profile(monkeypatch):
     real = isoperimetry._half_tables
 
     def counted(rows):
-        builds.append(rows)
+        builds.append(list(rows))
         return real(rows)
 
     monkeypatch.setattr(isoperimetry, "_half_tables", counted)
-    reports = run_bounds(complement_cycle(9), ["strong_boundary", "family"])
+    g = complement_cycle(9)
+    reports = run_bounds(g, ["strong_boundary", "family"])
     assert reports[1].certificate["generic_value"] == reports[0].value
-    # one profile sweep builds the half tables of two unions
-    assert len(builds) == 2
+    # one profile sweep builds the half tables of g's closed rows, and
+    # family reads that sweep's unions
+    assert builds == [_closed_rows(g)]
 
 
-def test_all_bounds_build_two_subset_tables_per_graph(monkeypatch):
+def test_all_bounds_build_no_complement_subset_tables(monkeypatch):
     builds, scans = [], []
     real_half, real_scan = isoperimetry._half_tables, isoperimetry._least_unions
 
@@ -177,7 +179,7 @@ def test_all_bounds_build_two_subset_tables_per_graph(monkeypatch):
         builds.append(list(rows))
         return real_half(rows)
 
-    def scanned(rows, sizes, halves=None):
+    def scanned(rows, sizes, halves):
         scans.append((list(rows), sizes))
         return real_scan(rows, sizes, halves)
 
@@ -189,15 +191,15 @@ def test_all_bounds_build_two_subset_tables_per_graph(monkeypatch):
         scans.clear()
         run_bounds(g, ["all"])
         # the supergraph DP builds the half tables of g's closed
-        # neighbourhoods and folds their least unions; the profile scans
-        # only its complement's, and the complement's profile is
-        # derived, not swept.  The expansion bound's rows are others.
+        # neighbourhoods and folds their least unions, which the strong
+        # boundary and family bounds read; nothing builds or scans the
+        # complement's.  The expansion bound's rows are others, one size
+        # at a time.
         closed, co_closed = _closed_rows(g), _closed_rows(complement(g))
-        assert builds.count(closed) == 1 and builds.count(co_closed) == 1
-        assert builds[:2] == [closed, co_closed]
-        profile_scans = [rows for rows, sizes in scans if len(sizes) > 1]
-        assert profile_scans == [co_closed]
-        assert all(rows not in (closed, co_closed) for rows, sizes in scans if len(sizes) == 1)
+        assert builds.count(closed) == 1 and builds[0] == closed
+        assert co_closed not in builds
+        assert all(len(sizes) == 1 for rows, sizes in scans)
+        assert all(rows not in (closed, co_closed) for rows, sizes in scans)
 
 
 def _record_subset_tables(monkeypatch, module):
@@ -424,25 +426,27 @@ def test_run_experiment_cell_means_match_rows():
 
 
 def test_run_experiment_shares_each_samples_tables(monkeypatch):
-    # family reads the strong_boundary profile of its own sample, so the
-    # profile is swept once per sample, and the rows are those of each
-    # bound run alone
+    # family reads the strong_boundary profile of its own sample, so one
+    # scan over all sizes runs per sample, of its closed rows, and the
+    # rows are those of each bound run alone
     config = ExperimentConfig(model="regular", n_values=(12,), k_values=(9,), seeds=5,
                               master_seed=3, bounds=("strong_boundary", "family"))
-    profiles = []
-    real = tables.iso_profile
+    scans = []
+    real = isoperimetry._least_unions
 
-    def counted(g, closed_unions=None):
-        profiles.append(g)
-        return real(g, closed_unions)
+    def counted(rows, sizes, halves):
+        scans.append((rows, sizes))
+        return real(rows, sizes, halves)
 
-    monkeypatch.setattr(tables, "iso_profile", counted)
+    monkeypatch.setattr(isoperimetry, "_least_unions", counted)
     result = run_experiment(config)
-    assert len(profiles) == config.seeds
+    assert len(scans) == config.seeds
+    assert all(sizes == range(1, 12) for _, sizes in scans)
     assert any(row.bound_name == "family" and not row.value.startswith("na:")
                for row in result.rows)
     monkeypatch.undo()
-    for i, g in enumerate(profiles):
+    for i, (rows, _) in enumerate(scans):
+        g = Graph(len(rows), tuple(row & ~(1 << v) for v, row in enumerate(rows)))
         pair = result.rows[2 * i:2 * i + 2]
         alone = [run_bounds(g, [tok])[0] for tok in config.bounds]
         assert pair == tuple(rows_from_reports(alone, seed=pair[0].seed, model="regular",

@@ -33,11 +33,11 @@ def _report_text(g) -> str:
 
 GOLDEN = [
     (lambda: complement_cycle(14),
-     "92875d2f3ae661f11902097af8065567cdaa758c891d5e2c6575db3cfdd6a9aa"),
+     "a07047b3ef444f529c89da80159b0c2300d6ccc4bae34bd2934535ea970a5780"),
     (lambda: sample(RandomModelSpec("gnp", 13, 5, p=Fraction(1, 2))),
-     "e45195bdb4d51f476bc5b8e7e5910141db5bf6b1a6affef5d9cf6f311c601347"),
+     "0df2c37fd8b82a2e8461ae0503f07a71fe237e3389eb5cc9fe8bbc250c8f92a5"),
     (lambda: sample(RandomModelSpec("bipartite_gnp", 12, 3, p=Fraction(1, 2))).to_graph(),
-     "0d9992a0e45ebb48b635358eea653208c2aa4df4ca47412153d51a741fcfba55"),
+     "9183ff342082de7c5e16a9fcae741dbb555d278cf9d78f906e452aad19a0b0a6"),
 ]
 
 
@@ -46,17 +46,17 @@ GOLDEN = [
 # c4free branch of the family bound.
 GOLDEN_18 = [
     (lambda: complement_cycle(18),
-     "9c13974086499fe13c85bfaf4089f383694fc5dcb1908c9aa57c0e30c2cb2549"),
+     "18df1014bd61a88e3bb920446d79b84d0e7a73803f820b7c298a7a0f786f7b14"),
     (lambda: complete_multipartite(2, 9),
-     "3352e9cac9179c64a177098aa1c2b98508f986a7cb4532fba9d3d13b38704918"),
+     "fe1cc040922e9c7ff492cb10b5a74d23b6ec37e75c666743995159b42ba2e7ee"),
     (lambda: cobipartite_tight_family(3, 3).graph,
-     "744e65513e70d97915d12723ffacb2614fd70151f6153a84fe0731dcc3203a5c"),
+     "c4a6308be0af1c6da70aa593f6bb6747e1a8c5c3090cfc7b4e9ba5c793d003fa"),
     (lambda: bipartite_tight_family(3, 3).graph,
-     "cc3d4f3fed540eb2a0b637fd623c8de57095a3663c9a19297e1abf95eecae2d5"),
+     "859f94228cb1752dc3c23672820fc9831f6636b05ee68162a8948fdccba3c247"),
     (lambda: sample(RandomModelSpec("regular", 18, 1, k=13)),
-     "403a29b8e718cac035a49e200b7b225366776f64c92af706c0ec8fa8f708f65c"),
+     "8e7d449d52e883132a25803b367309668d8ac62a3885baf0c85a2bd62a0375e8"),
     (lambda: sample(RandomModelSpec("bipartite_gnp", 18, 1, p=Fraction(1, 2))).to_graph(),
-     "2c1342f2ca1902a9cbc06fbe92c6be3abed4ce475823031d5c264f48bd023237"),
+     "4f2e72d15976572aa731e83387143d81df002d4073b198e1d7e824593ef92702"),
 ]
 
 

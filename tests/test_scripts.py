@@ -76,8 +76,8 @@ def test_output_digests_match_the_determinism_contract():
     proc = _run_script("output_digests.py", "--seed", "1")
     assert proc.returncode == 0, proc.stderr
     assert dict(line.split() for line in proc.stdout.splitlines()) == {
-        "bound-all": "a6cc5a94154106b43edad65cee725388de1149aa3131049ac83d809d2ade6ba2",
-        "exact-oracle": "302c43dbb02824ec465a4d0082c0f3f2da68c82e0159efdd5774cd0c228d0758",
+        "bound-all": "10fa85c201bb233aed22032c3fbbb3403453610df64bbb4c330f56a2c010f152",
+        "exact-oracle": "ba3714e325d1adfa142e20ab671eaad9f0c860ef6b970de55d5b8d50d70625ae",
         "sweep": "94d50e1dbaed38cd7edb35ae11e3da1404cc73e734de9150ed91c6b4077b5ff8",
         "soundness_table": "064ccb9cb7925a16158b2800bc98c04b3fd10bb1940c623f085896f4df8aea71",
     }

@@ -1,18 +1,23 @@
 """Deficiency-counting lower bounds and their closed-form family forms."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
 from boxkit import isoperimetry, tables
 from boxkit.errors import PROFILE_MAX_VERTICES
+from boxkit.bitset import mask_of, popcount
 from boxkit.graphs import (
+    closed_neighborhood,
     complement,
     complete_graph,
     cycle,
     from_edges,
+    is_complete,
     path,
+    strong_vertex_boundary,
 )
 from boxkit.intervals import boxicity_exact, canonical_supergraph
 from boxkit.isoperimetry import iso_profile, max_strong_boundary
@@ -52,8 +57,6 @@ def test_strong_boundary_bound_on_four_cycle():
     report = strong_boundary_bound(cycle(4))
     assert report.applicable
     assert report.value == Fraction(2)
-    profile = report.certificate["complement_profile"]
-    assert report.certificate["profile_sum"] == sum(profile.max_strong_boundary)
 
 
 def test_degree_ratio_examples():
@@ -253,11 +256,56 @@ def test_family_bounds_agree_with_profile_identity():
         assert closed == generic == Fraction(n, 3)
 
 
-def test_strong_boundary_certificate_profile_matches_direct():
-    g = petersen()
+def _replay_strong_boundary(g):
+    """Check strong_boundary_bound's certificate against g alone: each
+    witness X_k has k members and leaves s_k vertices outside N[X_k],
+    which are X_k's common neighbours in the complement; the sum and the
+    value follow; and up to n = 10 each s_k is the largest over all
+    k-sets."""
     report = strong_boundary_bound(g)
-    direct = iso_profile(complement(g))
-    assert report.certificate["complement_profile"] == direct
+    if is_complete(g):
+        assert report.reason == "complete_graph"
+        return
+    cert = report.certificate
+    assert list(cert) == ["max_strong_boundary", "witnesses", "profile_sum"]
+    strong, witnesses = cert["max_strong_boundary"], cert["witnesses"]
+    assert len(strong) == len(witnesses) == g.n - 1
+    co = complement(g)
+    for k, (s, x) in enumerate(zip(strong, witnesses), 1):
+        assert popcount(x) == k
+        assert g.n - popcount(closed_neighborhood(g, x)) == s
+        assert popcount(strong_vertex_boundary(co, x)) == s
+    assert cert["profile_sum"] == sum(strong)
+    assert report.value == Fraction(co.edge_count, cert["profile_sum"])
+    if g.n <= 10:
+        assert strong == tuple(
+            max(popcount(strong_vertex_boundary(co, mask_of(x)))
+                for x in combinations(range(g.n), k))
+            for k in range(1, g.n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_strong_boundary_certificate_replays_on_every_class(n):
+    for g in enumerate_graphs(n):
+        _replay_strong_boundary(g)
+
+
+@pytest.mark.parametrize("spec", [RandomModelSpec("gnp", 10, seed, p=p)
+                                  for seed in (1, 2)
+                                  for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))]
+                         + [RandomModelSpec("gnm", 10, seed, m=22) for seed in (1, 2)]
+                         + [RandomModelSpec("regular", 10, seed, k=3) for seed in (1, 2)],
+                         ids=lambda spec: f"{spec.model}-{spec.parameter()}-seed{spec.seed}")
+def test_strong_boundary_certificate_replays_on_drawn_graphs(spec):
+    _replay_strong_boundary(sample(spec))
+
+
+@pytest.mark.parametrize("g", [complement_cycle(18), complete_multipartite(2, 9),
+                               cobipartite_tight_family(3, 3).graph,
+                               bipartite_tight_family(3, 3).graph],
+                         ids=["co-C18", "K_2x9", "cobipartite(3,3)", "bipartite(3,3)"])
+def test_strong_boundary_certificate_replays_on_named_graphs(g):
+    _replay_strong_boundary(g)
 
 
 def _regular_complements():
@@ -271,9 +319,9 @@ def _regular_complements():
 
 @pytest.mark.parametrize("g", _regular_complements(), ids=lambda g: f"n{g.n}m{g.edge_count}")
 def test_family_reads_the_profile_and_scans_no_single_size(monkeypatch, g):
-    # after strong_boundary, the square-free test reads the least closed
-    # unions the profile found, and the generic value the profile, so
-    # family runs no scan of its own
+    # after strong_boundary, the square-free test and the generic value
+    # read the least closed unions strong_boundary found, so family runs
+    # no scan of its own
     expected = detect_family_bound(g)
     square_free = max_strong_boundary(complement(g), 2)[0] <= 1
     shared = tables.GraphTables(g)
@@ -284,7 +332,6 @@ def test_family_reads_the_profile_and_scans_no_single_size(monkeypatch, g):
 
     monkeypatch.setattr(isoperimetry, "_least_union", refuse)
     monkeypatch.setattr(isoperimetry, "_least_unions", refuse)
-    monkeypatch.setattr(tables, "iso_profile", refuse)
     family = detect_family_bound(shared)
     assert family == expected
     if family.applicable:

@@ -13,9 +13,12 @@ import numpy as np
 import pytest
 
 from boxkit.bitset import mask_of, members, popcount
+from boxkit.cli import main
+from boxkit.edgelist import write_edge_list
 from boxkit.errors import (
     PROFILE_MAX_VERTICES,
     SUPERGRAPH_MAX_VERTICES,
+    BudgetExceededError,
     check_subset_budget,
 )
 from boxkit.expansion_bounds import co_expansion_table, cross_expansion
@@ -54,8 +57,6 @@ from boxkit.isoperimetry import (
     _layer_starts,
     _layers,
     _least_union,
-    _least_unions,
-    complement_profile,
     iso_profile,
     max_strong_boundary,
     min_boundary,
@@ -229,8 +230,7 @@ def _closed_rows(g):
 def _assert_fold_matches_scan(g):
     """The DP's folded least closed unions are the profile scan's, values
     and witnesses."""
-    assert min_interval_supergraph(g).closed_unions == tuple(
-        _least_unions(_closed_rows(g), range(1, g.n)))
+    assert min_interval_supergraph(g).closed_unions == LeastUnions(_closed_rows(g)).every()
 
 
 def _assert_matches_oracles(g):
@@ -371,9 +371,15 @@ def test_split_dp_ordering_replays_at_the_vertex_cap():
                          + _drawn(12) + [from_pair_mask(6, m) for m in (0, 1, 4711, 32767)],
                          ids=lambda g: f"n{g.n}m{g.edge_count}")
 def test_complement_profile_matches_direct_profile(g):
-    derived = complement_profile(iso_profile(g))
-    assert derived == iso_profile(complement(g))
-    assert complement_profile(derived) == iso_profile(g)
+    # max_strong(k, co) = n - k - min_boundary(k, g) and
+    # min_boundary(k, co) = n - k - max_strong(k, g), with the same
+    # lexicographically smallest witnesses
+    profile, co = iso_profile(g), iso_profile(complement(g))
+    sizes = range(1, g.n)
+    assert co.max_strong_boundary == tuple(g.n - k - b for k, b in zip(sizes, profile.min_boundary))
+    assert co.min_boundary == tuple(g.n - k - s for k, s in zip(sizes, profile.max_strong_boundary))
+    assert co.max_strong_boundary_witness == profile.min_boundary_witness
+    assert co.min_boundary_witness == profile.max_strong_boundary_witness
 
 
 def test_min_reach_matches_loop_past_one_word():
@@ -537,22 +543,61 @@ def test_all_builds_the_closed_half_tables_once(monkeypatch, g):
     dps = _count_calls(monkeypatch, tables, "min_interval_supergraph")
     run_bounds(g, ["all"])
     assert len(dps) == 1
-    assert [list(rows) for rows, in builds].count(_closed_rows(g)) == 1
-    # the profile's one scan over all sizes is of the complement's rows
-    assert [(list(rows), sizes) for rows, sizes, *_ in scans if len(sizes) > 1] == [
-        (_closed_rows(complement(g)), range(1, g.n))]
+    built = [list(rows) for rows, in builds]
+    assert built.count(_closed_rows(g)) == 1
+    assert _closed_rows(complement(g)) not in built
+    # the DP's fold serves every size of the profile, so no scan covers
+    # all sizes, and none reads g's closed rows
+    assert all(len(sizes) == 1 for rows, sizes, *_ in scans)
     assert all(list(rows) != _closed_rows(g) for rows, *_ in scans)
 
 
-def test_strong_boundary_alone_runs_both_scans_and_no_dp(monkeypatch):
+def test_strong_boundary_alone_runs_one_scan_and_no_dp(monkeypatch):
     dps = _count_calls(monkeypatch, tables, "min_interval_supergraph")
     scans = _count_calls(monkeypatch, isoperimetry, "_least_unions")
     for g in NAMED_18[:2]:
         scans.clear()
         run_bounds(g, ["strong_boundary"])
-        assert [list(rows) for rows, *_ in scans] == [
-            _closed_rows(g), _closed_rows(complement(g))]
+        assert [(list(rows), sizes) for rows, sizes, *_ in scans] == [
+            (_closed_rows(g), range(1, g.n))]
     assert dps == []
+
+
+def test_every_refuses_past_the_cap_before_building_a_table(monkeypatch, tmp_path, capsys):
+    touched = [_count_calls(monkeypatch, isoperimetry, name)
+               for name in ("_half_tables", "_half_layout", "_least_unions")]
+    g = empty_graph(PROFILE_MAX_VERTICES + 1)
+    with pytest.raises(BudgetExceededError):
+        LeastUnions(_closed_rows(g)).every()
+    assert run_bounds(g, ["strong_boundary"])[0].reason == "budget_exceeded"
+    path = tmp_path / "g.edges"
+    write_edge_list(g, str(path))
+    assert main(["bound", "--input", str(path), "--methods", "strong_boundary"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(",na:budget_exceeded,,0")
+    assert touched == [[], [], []]
+
+
+def test_every_on_one_row_is_empty(monkeypatch):
+    scans = _count_calls(monkeypatch, isoperimetry, "_least_unions")
+    assert LeastUnions([0b1]).every() == ()
+    assert scans == []
+
+
+def test_every_scans_once_and_serves_later_queries(monkeypatch):
+    g = sample(RandomModelSpec("gnp", 14, 1, p=Fraction(1, 2)))
+    scans = _count_calls(monkeypatch, isoperimetry, "_least_unions")
+    builds = _count_calls(monkeypatch, isoperimetry, "_half_tables")
+    unions = LeastUnions(_closed_rows(g))
+    unions.least(2)
+    first = unions.every()
+    assert first == LeastUnions(_closed_rows(g)).every()
+    assert [sizes for _, sizes, _ in scans[:2]] == [range(2, 3), range(1, g.n)]
+    assert len(builds) == 2  # this object's and the fresh one's
+    scans.clear()
+    builds.clear()
+    assert unions.every() == first
+    assert [unions.least(k) for k in range(1, g.n)] == list(first)
+    assert scans == [] and builds == []
 
 
 def test_alternating_scans_build_no_layout_twice(monkeypatch):
