@@ -5,6 +5,7 @@ layered numpy DP it replaced, which reaches sizes the plain loop does
 not, and the least closed unions it folds against the profile's scan.
 Counting tests check which tables one graph's bounds build."""
 
+import hashlib
 from fractions import Fraction
 from itertools import accumulate, combinations, pairwise
 from math import comb
@@ -37,6 +38,7 @@ from boxkit.graphs import (
     complement,
     complete_graph,
     empty_graph,
+    from_edges,
     from_pair_mask,
     open_neighborhood,
 )
@@ -365,6 +367,31 @@ def test_split_dp_ordering_replays_at_the_vertex_cap():
     result = min_interval_supergraph(g)
     assert canonical_supergraph(g, result.ordering).graph.edge_count == result.edge_count
     assert result.ordering == Ordering.from_sequence(result.ordering.sequence())
+
+
+# sha256 of repr((edge_count, ordering.sequence(), closed_unions)) at the
+# top of the DP's reach: gnp draws and complete graphs, whose f reaches
+# C(n, 2), at n = 23 and at the vertex cap.
+DP_DIGESTS = [
+    (lambda: sample(RandomModelSpec("gnp", 23, 1, p=Fraction(1, 2))),
+     "5e77b2ab4168eecd2f762fe2f2e80d776d6552cb0c0c0241e0b9ef18194f04aa"),
+    (lambda: sample(RandomModelSpec("gnp", 24, 1, p=Fraction(1, 2))),
+     "6c88e759d03ca30a194e8bafe46dbac5a17447d022a6d078b3a7997076581307"),
+    (lambda: complete_graph(23),
+     "23be467eda96fc177f64709d0950d291e11866295bd8de51d320200750c0aebc"),
+    (lambda: complete_graph(24),
+     "3790ad150c0f82074a35187d3e816f28022735dbaafd73eaac7b8118324018b9"),
+    (lambda: complement(from_edges(24, [(0, 1)])),
+     "ce3fbba0ae0ffedfdf58f2577b1182e33f1a7b3252e843b63881c67fafcfd9f4"),
+]
+
+
+@pytest.mark.parametrize("build,digest", DP_DIGESTS,
+                         ids=["gnp23-seed1", "gnp24-seed1", "K_23", "K_24", "K_24-minus-01"])
+def test_supergraph_dp_output_is_pinned_at_the_top_of_its_reach(build, digest):
+    result = min_interval_supergraph(build())
+    text = repr((result.edge_count, result.ordering.sequence(), result.closed_unions))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("g", [complement_cycle(14), empty_graph(9), complete_graph(9)]
