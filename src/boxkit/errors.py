@@ -20,7 +20,8 @@ def check_subset_budget(n: int, k: int) -> None:
         raise BudgetExceededError(f"C({n},{k}) subsets exceed {SUBSET_BUDGET}")
 
 
-# The supergraph DP keeps an int16 table over all 2^n vertex subsets.
+# The supergraph DP keeps a table over all 2^n vertex subsets, one byte
+# per subset up to n = 23 and two at the cap (32 MB).
 SUPERGRAPH_MAX_VERTICES = 24
 # The isoperimetric profile scans all 2^n vertex subsets in bounded
 # chunks, so time alone sets its cap.

@@ -14,7 +14,8 @@ other.  So only canonical supergraphs, one per ordering, ever need to be
 intersected, and minimizing edges of an interval supergraph becomes a
 minimum over orderings that a subset DP solves exactly.  The DP indexes
 its table by the subsets of two halves of the vertex set, rows by one
-half and columns by the other, so that each step reads whole rows.  The
+half and columns by the other, so that each step reads whole rows, and
+stores the minima in the least unsigned dtype that holds them.  The
 closed-neighbourhood unions it reads are the same ones the isoperimetric
 profile minimizes, so the DP folds their least size for every subset
 size, with the profile's witnesses, and the strong boundary bound need
@@ -172,7 +173,10 @@ class MinSupergraph(NamedTuple):
     closed_unions: tuple[tuple[int, int], ...]
 
 
-_UNFILLED = np.iinfo(np.int16).max
+def _table_dtype(n: int) -> np.dtype:
+    """The least unsigned dtype whose maximum exceeds C(n, 2), the largest
+    value of the supergraph DP's f on n vertices: uint8 up to n = 23."""
+    return np.min_scalar_type(n * (n - 1) // 2 + 1)
 
 
 def min_interval_supergraph(g: Graph) -> MinSupergraph:
@@ -181,35 +185,37 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
     The edge count of the canonical supergraph for eta equals the sum of
     |Gamma(S_k)| over the proper prefixes S_k of eta, so the minimum over
     orderings is f(V) with f(S) = |Gamma(S)| + min over v in S of
-    f(S - v).
+    f(S - v).  A prefix of k vertices has |Gamma| <= n - k, so every
+    f(S) is at most C(n, 2), and f is kept in _table_dtype(n): uint8 up
+    to n = 23, uint16 above.
 
     The vertices are split into the low half L = 0 .. n//2 - 1 and the
-    high half H.  f is an int16 table with one row per subset of H and
-    one column per subset of L, each half in the _layers order, so that
-    removing a high vertex moves to a row of the previous row layer and
-    removing a low vertex to a column of the previous column layer.  The
-    rows are filled one layer at a time.  Each high vertex of a row
-    layer costs one gather of whole rows from the layer before; the
+    high half H.  f has one row per subset of H and one column per
+    subset of L, each half in the _layers order, so that removing a high
+    vertex moves to a row of the previous row layer and removing a low
+    vertex to a column of the previous column layer.  The rows are
+    filled one layer at a time.  A row layer starts from the rows of its
+    first high predecessor and takes the minimum with each other one,
+    one gather of whole rows from the layer before per high vertex; the
     block is then transposed, and each column layer takes the minimum
     over its low vertices with one gather of whole (transposed) rows
-    from the column layer before.  |Gamma(S)| = |N[S]| - |S|, and
-    |N[S]| = |N[S & H] | N[S & L]| is read from one closed-neighbourhood
-    union table per half.  The table holds f(S) + |S|(|S| + 1)/2, which
-    makes the recursion f'(S) = |N[S]| + min over v in S of f'(S - v);
-    all the S - v have one size, so the minimizing v do not change.
-    The values are at most C(n, 2) + n(n + 1)/2 = n^2, which int16 holds
-    up to SUPERGRAPH_MAX_VERTICES.  The minimum over high vertices starts at
-    _UNFILLED, the int16 maximum, so that a set with no high vertex
-    takes its minimum from its low vertices alone.
+    from the column layer before.  The row layer with no high vertex
+    starts at the dtype's maximum, above every f, so that its sets take
+    their minimum from their low vertices alone.  |N[S]| = |N[S & H] |
+    N[S & L]| is read from one closed-neighbourhood union table per half,
+    and turned in place into |Gamma(S)| = |N[S]| - |S|, which each
+    column layer then adds.  A row layer drops its blocks before the
+    next one builds its own, so beside f the DP holds one layer at a
+    time.
 
-    Each row layer's unions are also folded, as they are built, into the
-    least |N[X]| of every size k.  The (row layer a, column layer k - a)
-    block is one contiguous run of the layer's (column x row) union
-    array, reduced to its minimum; its first minimum in (column, row)
-    order is its lexicographically smallest witness, and the blocks'
-    witnesses are compared as the profile scan (_least_unions) compares
-    them.  So closed_unions equals LeastUnions.every on the closed rows,
-    witnesses included.
+    Each row layer's unions are also folded into the least |N[X]| of
+    every size k.  On the (row layer a, column layer k - a) block |X| is
+    k, so |N[X]| = |Gamma(X)| + k there.  The block is one contiguous
+    run of the layer's (column x row) array, reduced to its minimum; its
+    first minimum in (column, row) order is its lexicographically
+    smallest witness, and the blocks' witnesses are compared as the
+    profile scan (_least_unions) compares them.  So closed_unions equals
+    LeastUnions.every on the closed rows, witnesses included.
 
     No choice table is kept.  The ordering is walked back from the
     table: from the full set, each step removes the smallest v in S
@@ -222,39 +228,46 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
     low, high = _split_layouts(n)
     closed = [row | 1 << v for v, row in enumerate(g.rows)]
     reach_low, reach_high = _half_tables(closed)
-    f = np.empty((len(reach_high), len(reach_low)), dtype=np.int16)
+    dtype = _table_dtype(n)
+    f = np.empty((len(reach_high), len(reach_low)), dtype=dtype)
+    low_sizes = np.bitwise_count(low.masks)[:, None]
     col_starts = low.starts[:-1]
     low_masks, high_masks = low.mask_list, high.mask_list
     least: dict[int, tuple[int, int]] = {}
     for a, (r0, r1) in enumerate(pairwise(high.starts)):
-        best = np.full((r1 - r0, len(reach_low)), _UNFILLED, dtype=np.int16)
-        if a == 0:
+        # |Gamma(S)| for every S in this row layer, one row per column
+        gamma = np.bitwise_count(reach_low[:, None] | reach_high[r0:r1])
+        gamma -= low_sizes + a
+        width = r1 - r0
+        # each column layer's rows are one contiguous run of gamma
+        minima = np.minimum.reduceat(gamma.ravel(), [c * width for c in col_starts]).tolist()
+        if a:
+            best = np.take(f, high.preds[a][0], axis=0)
+            rows = np.empty_like(best)
+            for pred in high.preds[a][1:]:
+                # mode="clip" writes rows in place; "raise" would buffer it
+                np.take(f, pred, axis=0, out=rows, mode="clip")
+                np.minimum(best, rows, out=best)
+            del rows
+        else:
+            best = np.full((1, len(reach_low)), np.iinfo(dtype).max, dtype=dtype)
             best[0, 0] = 0  # f of the empty set
-        rows = np.empty_like(best)
-        for pred in high.preds[a]:
-            np.take(f, pred, axis=0, out=rows)
-            np.minimum(best, rows, out=best)
-        del rows
         block = np.ascontiguousarray(best.T)
         del best
-        # |N[S]| for every S in this row layer, one row per column
-        union = np.bitwise_count(reach_low[:, None] | reach_high[r0:r1])
-        width = r1 - r0
-        # each column layer's rows are one contiguous run of union
-        minima = np.minimum.reduceat(union.ravel(), [c * width for c in col_starts]).tolist()
         for b, (c0, c1) in enumerate(pairwise(low.starts)):
             part = block[c0:c1]
             if b:
                 np.minimum(part, np.take(block, low.preds[b], axis=0).min(axis=0), out=part)
-            part += union[c0:c1]
-            held = least.get(a + b)
-            if 0 < a + b < n and _improves(held, minima[b], low_masks[c0] | high_masks[r0] << h):
+            part += gamma[c0:c1]
+            held, size = least.get(a + b), minima[b] + a + b
+            if 0 < a + b < n and _improves(held, size, low_masks[c0] | high_masks[r0] << h):
                 # the first minimum in (column, row) order
-                col, row = divmod(c0 * width + int(union[c0:c1].argmin()), width)
+                col, row = divmod(c0 * width + int(gamma[c0:c1].argmin()), width)
                 mask = low_masks[col] | high_masks[r0 + row] << h
-                if _improves(held, minima[b], mask):
-                    least[a + b] = (minima[b], mask)
+                if _improves(held, size, mask):
+                    least[a + b] = (size, mask)
         f[r0:r1] = block.T
+        del block, part, gamma  # before the next layer builds its own
     low_mask = (1 << h) - 1
     low_position, high_position = low.position_list, high.position_list
 
@@ -268,8 +281,7 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
         seq_rev.append(v)
         s ^= 1 << v
     ordering = Ordering.from_sequence(tuple(reversed(seq_rev)))
-    return MinSupergraph(f.item(-1, -1) - n * (n + 1) // 2, ordering,
-                         tuple(least[k] for k in range(1, n)))
+    return MinSupergraph(f.item(-1, -1), ordering, tuple(least[k] for k in range(1, n)))
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,8 @@ from boxkit import intervals, isoperimetry, tables
 from boxkit.expansion_bounds import _strip_universal
 from boxkit.harness import run_bounds
 from boxkit.intervals import (
-    _UNFILLED,
     Ordering,
+    _table_dtype,
     boxicity_exact,
     canonical_supergraph,
     min_interval_supergraph,
@@ -105,20 +105,22 @@ def _layered_min_supergraph(g):
     layer is a slice of the size-then-lex layout, f(S) is stored at the
     bit-reversed mask of S, and the layer's boundary sizes come from one
     2^n union table in the same layout.  The ordering is walked back
-    from f, removing the smallest v whose f(S - v) is least."""
+    from f, removing the smallest v whose f(S - v) is least.  Its int16
+    table starts every set at the int16 maximum."""
     n = g.n
+    unfilled = np.iinfo(np.int16).max
     vertex_bits = tuple(1 << (n - 1 - v) for v in range(n))
     addresses = _fill_layers(np.int32(0), vertex_bits, np.bitwise_or)
     starts = _layer_starts(n)
     closed = tuple(row | 1 << v for v, row in enumerate(g.rows))
     sizes = np.bitwise_count(_fill_layers(np.uint32(0), closed, np.bitwise_or)).astype(np.int16)
-    f = np.full(1 << n, _UNFILLED, dtype=np.int16)
+    f = np.full(1 << n, unfilled, dtype=np.int16)
     f[0] = 0
     for k, (a, b) in enumerate(pairwise(starts)):
         if k == 0:
             continue
         layer = addresses[a:b].astype(np.intp)
-        best = np.full(b - a, _UNFILLED, dtype=np.int16)
+        best = np.full(b - a, unfilled, dtype=np.int16)
         for bit in vertex_bits:
             np.minimum(best, f[layer ^ bit], out=best)
         f[layer] = best + sizes[a:b] - k
@@ -297,21 +299,27 @@ def test_profile_matches_scan_on_empty_and_complete_graphs(n):
         assert iso_profile(g) == _scan_iso_profile(g)
 
 
-@pytest.mark.parametrize("n", [1, 2, 8, 16])
+@pytest.mark.parametrize("n", [1, 2, 8, 16, 23, 24])
 def test_supergraph_dp_matches_loop_on_empty_and_complete_graphs(n):
-    # Every ordering ties on an empty graph, so the walk back from f must
-    # break ties as the loop does; on a complete graph f reaches C(n, 2).
-    for g in (empty_graph(n), complete_graph(n)):
+    # Every ordering ties on an empty or a complete graph, so the walk
+    # back from f must break ties as the loop does, removing the smallest
+    # vertex first; on a complete graph f reaches C(n, 2).  The loop
+    # confirms both up to n = 16; past it the DP must keep them, at the
+    # top of the uint8 table (n = 23) and in the uint16 one (n = 24).
+    for g, edges in ((empty_graph(n), 0), (complete_graph(n), comb(n, 2))):
+        expected = (edges, tuple(reversed(range(n))))
+        if n <= 16:
+            assert _python_min_supergraph(g) == expected
         result = min_interval_supergraph(g)
-        assert (result.edge_count, result.ordering.sequence()) == _python_min_supergraph(g)
+        assert (result.edge_count, result.ordering.sequence()) == expected
 
 
-def test_supergraph_dp_values_fit_below_unfilled():
-    # The DP stores f(S) + |S|(|S| + 1)/2, at most C(n, 2) + n(n + 1)/2 =
-    # n^2; raising the vertex cap past what int16 holds must fail here
-    # rather than overflow the DP.
-    cap = SUPERGRAPH_MAX_VERTICES
-    assert comb(cap, 2) + comb(cap + 1, 2) == cap * cap < _UNFILLED
+def test_supergraph_dp_dtype_holds_every_value_below_its_maximum():
+    # f(S) <= C(n, 2), and the dtype's maximum marks sets not yet filled,
+    # so it must lie above every f at every n the DP accepts.
+    for n in range(1, SUPERGRAPH_MAX_VERTICES + 1):
+        assert np.iinfo(_table_dtype(n)).max > comb(n, 2)
+    assert _table_dtype(23) == np.uint8 and _table_dtype(24) == np.uint16
 
 
 @pytest.mark.parametrize("n", range(11))
