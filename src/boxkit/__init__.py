@@ -25,7 +25,6 @@ from .families import (
     complement_cycle,
     complete_multipartite,
     enumerate_graphs,
-    isomorphism_class_count,
     petersen,
     sample,
 )
@@ -66,17 +65,12 @@ from .intervals import (
     Ordering,
     boxicity_exact,
     boxicity_le,
-    canonical_supergraph,
+    canonical_rep,
     min_interval_supergraph,
     realize,
     verify_box_certificate,
 )
-from .isoperimetry import (
-    IsoProfile,
-    iso_profile,
-    max_strong_boundary,
-    min_boundary,
-)
+from .isoperimetry import LeastUnions
 from .reports import BoundReport
 from .rng import Xoshiro256StarStar, derive_seed
 from .spectral import (
@@ -89,7 +83,6 @@ from .supergraph_bounds import (
     degree_ratio_bound,
     detect_family_bound,
     min_supergraph_bound,
-    regular_complement_bound,
     strong_boundary_bound,
 )
 

@@ -379,6 +379,3 @@ def enumerate_graphs(n: int):
     for mask in _canonical_pair_masks(n):
         yield from_pair_mask(n, mask)
 
-
-def isomorphism_class_count(n: int) -> int:
-    return len(_canonical_pair_masks(n))

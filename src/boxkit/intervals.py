@@ -130,13 +130,16 @@ def induced_numbering(rep: IntervalRep) -> Ordering:
     return Ordering.from_sequence(order)
 
 
-class CanonicalSupergraph(NamedTuple):
-    graph: Graph
-    rep: IntervalRep
+def canonical_rep(g: Graph, ordering: Ordering) -> IntervalRep:
+    """Intervals of the minimal interval supergraph of g inducing ordering.
 
-
-def _canonical_rep(g: Graph, ordering: Ordering) -> IntervalRep:
-    """The intervals of canonical_supergraph(g, ordering), not realized."""
+    Vertex v gets r(v) = rank(v) and l(v) reaching left to the smallest
+    rank in its closed neighborhood, nudged by -(v+1)/(n+1) so endpoints
+    stay pairwise distinct without disturbing which integer ranks each
+    interval covers.  Two vertices are then adjacent iff the later one's
+    earliest neighbor sits at or before the other, which both contains g
+    and stays minimal among supergraphs inducing this numbering.
+    """
     n = g.n
     if ordering.n != n:
         raise ValueError("ordering size does not match graph")
@@ -147,20 +150,6 @@ def _canonical_rep(g: Graph, ordering: Ordering) -> IntervalRep:
         lo = Fraction(reach) - Fraction(v + 1, n + 1)
         intervals.append((lo, Fraction(ranks[v])))
     return IntervalRep(tuple(intervals))
-
-
-def canonical_supergraph(g: Graph, ordering: Ordering) -> CanonicalSupergraph:
-    """The minimal interval supergraph of g inducing the given numbering.
-
-    Vertex v gets r(v) = rank(v) and l(v) reaching left to the smallest
-    rank in its closed neighborhood, nudged by -(v+1)/(n+1) so endpoints
-    stay pairwise distinct without disturbing which integer ranks each
-    interval covers.  Two vertices are then adjacent iff the later one's
-    earliest neighbor sits at or before the other, which both contains g
-    and stays minimal among supergraphs inducing this numbering.
-    """
-    rep = _canonical_rep(g, ordering)
-    return CanonicalSupergraph(realize(rep, g.n), rep)
 
 
 class MinSupergraph(NamedTuple):
@@ -446,7 +435,7 @@ def boxicity_le(g: Graph, k: int) -> BoxCertificate | None:
     if seqs is None:
         return None
     orderings = tuple(Ordering.from_sequence(s) for s in seqs)
-    reps = tuple(_canonical_rep(g, o) for o in orderings)
+    reps = tuple(canonical_rep(g, o) for o in orderings)
     return BoxCertificate(len(orderings), orderings, reps)
 
 

@@ -1,16 +1,13 @@
-"""Vertex-isoperimetric profiles.
+"""Least unions of rows, which both vertex-isoperimetric profiles read.
 
 For a vertex set X, the boundary Gamma(X) collects outside vertices with
 at least one neighbor in X, and the strong boundary GammaS(X) collects
-outside vertices adjacent to all of X.  Over all |X| = k the minimum
-boundary size and the maximum strong-boundary size are the two profile
-values computed here.  The two are tied through complementation:
-
-    max_strong(k, complement(g)) = n - k - min_boundary(k, g)
-    min_boundary(k, complement(g)) = n - k - max_strong(k, g)
-
-so a bound on the complement's strong boundaries reads g's least closed
-unions, with the same lexicographically smallest witnesses.
+outside vertices adjacent to all of X.  Over |X| = k the least
+|Gamma(X)| is the least union of k closed rows, minus k, and the largest
+|GammaS(X)| is n minus the least union of k of the complement's closed
+rows, with the same witness.  So a bound on the complement's strong
+boundaries reads g's least closed unions, with the same
+lexicographically smallest witnesses.
 
 No table here spans all 2^n subsets.  The vertices are split into the
 low half L = {0 .. n//2 - 1} and the high half H, and the subsets of
@@ -23,19 +20,18 @@ _layers names each position's subset by its mask, and _half_layout
 keeps one layout per half size, shared by every split-half scan and the
 supergraph DP.
 
-Each profile value is the least size of a union of k rows.  A set X is
-the pair (X & L, X & H), so a union over X is the OR of two half-table
-entries, and _least_unions scans the (high layer a x low layer k - a)
-blocks of the sizes k it is asked for, _CHUNK_ENTRIES at a time; the
-supergraph DP keeps its table in the same (high half x low half) shape
-and folds the least closed unions of every size as it goes.  Which scan
-serves which sizes:
+A set X is the pair (X & L, X & H), so a union over X is the OR of two
+half-table entries, and _least_unions scans the (high layer a x low
+layer k - a) blocks of the sizes k it is asked for, _CHUNK_ENTRIES at a
+time; the supergraph DP keeps its table in the same (high half x low
+half) shape and folds the least closed unions of every size as it goes.
+Which scan serves which sizes:
 
-  every k = 1 .. n-1 (LeastUnions.every: iso_profile, the strong
-      boundary bound): _least_unions over all blocks, once per row
-      list, unless every size is already found (g's closed rows, when
-      the DP has folded them).
-  one k (min_boundary, max_strong_boundary, the expansion bound's
+  every k = 1 .. n-1 (LeastUnions.every: the strong boundary bound):
+      _least_unions over all blocks, once per row list, unless every
+      size is already found (g's closed rows, when the DP has folded
+      them).
+  one k (the family bound's square-free test, the expansion bound's
       beta_t and m_j): LeastUnions.least, which runs _least_unions on
       the blocks of that k alone for up to PROFILE_MAX_VERTICES rows of
       up to 32 bits, building the half tables once per row list, and
@@ -46,7 +42,6 @@ serves which sizes:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, pairwise
 from math import comb
@@ -55,7 +50,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PROFILE_MAX_VERTICES, check_subset_budget, check_vertex_cap
-from .graphs import Graph
 
 
 def _layer_starts(n: int) -> tuple[int, ...]:
@@ -277,43 +271,6 @@ class LeastUnions:
         return tuple(self.found[k] for k in sizes)
 
 
-@dataclass(frozen=True)
-class IsoProfile:
-    """Both isoperimetric profiles of one graph, k = 1 .. n-1.
-
-    Sequences are indexed by k - 1.  Witnesses are the lexicographically
-    smallest extremal sets, as bitmasks, so repeated runs are identical.
-    """
-
-    n: int
-    min_boundary: tuple[int, ...]
-    max_strong_boundary: tuple[int, ...]
-    min_boundary_witness: tuple[int, ...]
-    max_strong_boundary_witness: tuple[int, ...]
-
-
-def iso_profile(g: Graph) -> IsoProfile:
-    """Both profiles from two least-union scans.
-
-    Without self-loops, |Gamma(X)| = |N[x1] | ... | N[xk]| - |X| over
-    the closed neighbourhoods, and |X| = k is fixed, so the least union
-    over |X| = k is the least boundary plus k.  The common neighbours of
-    X are the vertices outside V - N(x1) | ... | V - N(xk), the union of
-    the complement's closed neighbourhoods, so the largest strong
-    boundary is n minus that union's least size, with the same witness.
-    """
-    n = g.n
-    closed = LeastUnions(row | 1 << v for v, row in enumerate(g.rows)).every()
-    missed = LeastUnions(g.vertices & ~row for row in g.rows).every()
-    return IsoProfile(
-        n,
-        tuple(value - k for k, (value, _) in enumerate(closed, 1)),
-        tuple(n - value for value, _ in missed),
-        tuple(mask for _, mask in closed),
-        tuple(mask for _, mask in missed),
-    )
-
-
 def _colex_stage(prev: np.ndarray, rows: np.ndarray, counts: list[int],
                  e0: int, e1: int) -> np.ndarray:
     """Entries e0 .. e1 - 1 of one stage of _least_union, in colex order:
@@ -368,17 +325,3 @@ def _least_union(rows, k: int) -> tuple[int, int]:
         witness |= 1 << n - 1 - x
     return best, witness
 
-
-def min_boundary(g: Graph, k: int) -> tuple[int, int]:
-    """Minimum |Gamma(X)| over |X| = k, with its lexicographically
-    smallest witness: the least closed-neighbourhood union, minus k."""
-    value, witness = LeastUnions(row | 1 << v for v, row in enumerate(g.rows)).least(k)
-    return value - k, witness
-
-
-def max_strong_boundary(g: Graph, k: int) -> tuple[int, int]:
-    """Maximum |GammaS(X)| over |X| = k, with its lexicographically
-    smallest witness: n minus the least union of the complement's closed
-    neighbourhoods."""
-    value, witness = LeastUnions(g.vertices & ~row for row in g.rows).least(k)
-    return g.n - value, witness

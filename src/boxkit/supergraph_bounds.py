@@ -8,13 +8,14 @@ ways gives
     boxicity(g) >= nonedges(g) / nonedges(I_min)
 
 and, through the prefix-boundary identity for canonical supergraphs, the
-weaker but cheaper-to-specialize
+weaker but cheaper-to-specialize bound over s_k, the largest strong
+boundary of a k-set,
 
-    boxicity(g) >= nonedges(g) / sum_k max_strong_boundary(k, complement(g)).
+    boxicity(g) >= nonedges(g) / sum_k s_k(complement(g)).
 
-Closed forms for particular families (regular complements, complements
-of cycles, regular square-free complements) are instances of the second
-inequality.
+Closed forms for complements of cycles and regular square-free
+complements are instances of the second inequality; for a k-regular
+complement, universal_bound (expansion_bounds) gives n/2k.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PROFILE_MAX_VERTICES
-from .graphs import Graph, degree_summary, is_complete, is_connected
+from .graphs import Graph, is_complete, is_connected
 from .reports import BoundReport, bound_report, not_applicable
 from .tables import GraphTables, tables_of
 
 MIN_SUPERGRAPH = "min_supergraph"
 STRONG_BOUNDARY = "strong_boundary"
-REGULAR_COMPLEMENT = "regular_complement"
 FAMILY = "family"
 DEGREE_RATIO = "degree_ratio"
 
@@ -71,19 +71,6 @@ def strong_boundary_bound(g: Graph | GraphTables) -> BoundReport:
     return bound_report(STRONG_BOUNDARY, value, cert)
 
 
-def regular_complement_bound(n: int, k: int, g: Graph) -> BoundReport:
-    """n / 2k for graphs whose complement is k-regular, checked on g."""
-    if n < 1 or k < 1:
-        return not_applicable(REGULAR_COMPLEMENT, "bad_parameters")
-    if g.n != n:
-        return not_applicable(REGULAR_COMPLEMENT, "size_mismatch")
-    summary = degree_summary(g)
-    if not (summary.is_regular and summary.min_degree == n - k - 1):
-        return not_applicable(REGULAR_COMPLEMENT, "regularity_mismatch")
-    value = Fraction(n, 2 * k)
-    return bound_report(REGULAR_COMPLEMENT, value, {"n": n, "k": k, "verified": True})
-
-
 def detect_family_bound(g: Graph | GraphTables) -> BoundReport:
     """Closed-form profile bounds for structure found in the complement.
 
@@ -91,12 +78,12 @@ def detect_family_bound(g: Graph | GraphTables) -> BoundReport:
         n = 4 the profile of the 4-cycle is larger and the n/3 form is
         unsound.)
     c4free: the complement is k-regular and no two vertices share two
-        complement neighbours, max_strong_boundary(2) <= 1; n/4.  The
+        complement neighbours, s_2(complement) <= 1; n/4.  The
         form needs regularity: the profile tail vanishes above the
         degree, and the complement's edge count is nk/2.
 
     The cycle is tried first.  The complement's closed neighbourhoods
-    miss exactly g's, so max_strong_boundary(2) of the complement is n
+    miss exactly g's, so s_2 of the complement is n
     minus the least union of two of g's closed neighbourhoods, which the
     tables keep (the supergraph DP or strong_boundary_bound has already
     found it when they ran).  Up to the profile's cap the certificate

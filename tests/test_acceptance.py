@@ -27,6 +27,7 @@ from boxkit.families import (
     sample,
 )
 from boxkit.graphs import (
+    complement,
     complete_graph,
     cycle,
     degree_summary,
@@ -50,7 +51,6 @@ from boxkit.spectral import (
 )
 from boxkit.supergraph_bounds import (
     min_supergraph_bound,
-    regular_complement_bound,
     strong_boundary_bound,
 )
 
@@ -100,11 +100,14 @@ def test_criterion_03_cobipartite_tight_family():
     pairs = [(k, l) for k in range(1, 5) for l in range(1, 5) if 2 * k * l <= 8]
     for k, l in pairs:
         cert = cobipartite_tight_family(k, l)
-        n = cert.graph.n
         if cert.claimed_upper != l or not cert.verify():
             problems.append(f"(k,l)=({k},{l}): certificate failed")
-        bound = regular_complement_bound(n, k, cert.graph)
-        if not bound.applicable or bound.value != Fraction(l):
+        summary = degree_summary(complement(cert.graph))
+        if not (summary.is_regular and summary.min_degree == k):
+            problems.append(f"(k,l)=({k},{l}): complement not {k}-regular")
+        # the closed form for a k-regular complement, n / 2k = l
+        bound = universal_bound(cert.graph)
+        if bound.value != Fraction(l):
             problems.append(f"(k,l)=({k},{l}): closed form {bound.value} != {l}")
         result = boxicity_exact(cert.graph)
         if result.value != l or not verify_box_certificate(cert.graph,

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from boxkit.bitset import bits, popcount
 from boxkit.errors import BudgetExceededError
 from boxkit.graphs import (
-    complement,
     complete_graph,
     cycle,
     empty_graph,
@@ -22,15 +21,14 @@ from boxkit.intervals import (
     Ordering,
     boxicity_exact,
     boxicity_le,
-    canonical_supergraph,
+    canonical_rep,
     induced_numbering,
     min_interval_supergraph,
     realize,
     verify_box_certificate,
 )
-from boxkit.isoperimetry import iso_profile
 
-from .strategies import graphs, graphs_with_ordering
+from .strategies import closed_unions, graphs, graphs_with_ordering
 
 
 def _rep(*pairs):
@@ -68,28 +66,28 @@ def test_ordering_round_trip():
 @given(graphs_with_ordering(min_n=1, max_n=7))
 def test_canonical_supergraph_contains_g_and_induces_eta(go):
     g, eta = go
-    result = canonical_supergraph(g, eta)
+    rep = canonical_rep(g, eta)
+    supergraph = realize(rep, g.n)
     for v in range(g.n):
-        assert g.rows[v] & ~result.graph.rows[v] == 0
-    assert induced_numbering(result.rep) == eta
+        assert g.rows[v] & ~supergraph.rows[v] == 0
+    assert induced_numbering(rep) == eta
 
 
 @settings(max_examples=50)
 @given(graphs_with_ordering(min_n=2, max_n=7))
 def test_canonical_edge_count_is_prefix_boundary_sum(go):
     g, eta = go
-    result = canonical_supergraph(g, eta)
     prefixes = list(accumulate((1 << v for v in eta.sequence()), or_))
     boundary_sum = sum(popcount(vertex_boundary(g, s)) for s in prefixes[:-1])
-    assert result.graph.edge_count == boundary_sum
+    assert realize(canonical_rep(g, eta), g.n).edge_count == boundary_sum
 
 
 def test_canonical_supergraph_of_c4_identity_ordering():
     c4 = cycle(4)
-    result = canonical_supergraph(c4, Ordering((0, 1, 2, 3)))
+    supergraph = realize(canonical_rep(c4, Ordering((0, 1, 2, 3))), 4)
     expected = from_edges(4, c4.edges + [(1, 3)])
-    assert result.graph.rows == expected.rows
-    assert result.graph.edge_count == 5
+    assert supergraph.rows == expected.rows
+    assert supergraph.edge_count == 5
 
 
 def _brute_min_supergraph(g):
@@ -118,8 +116,8 @@ def _brute_min_supergraph(g):
 def test_min_supergraph_dp_matches_brute_force(g):
     result = min_interval_supergraph(g)
     assert result.edge_count == _brute_min_supergraph(g)
-    realized = canonical_supergraph(g, result.ordering)
-    assert realized.graph.edge_count == result.edge_count
+    realized = realize(canonical_rep(g, result.ordering), g.n)
+    assert realized.edge_count == result.edge_count
 
 
 @settings(max_examples=40)
@@ -127,17 +125,17 @@ def test_min_supergraph_dp_matches_brute_force(g):
 def test_min_supergraph_dominates_every_ordering(go):
     g, eta = go
     assert (min_interval_supergraph(g).edge_count
-            <= canonical_supergraph(g, eta).graph.edge_count)
+            <= realize(canonical_rep(g, eta), g.n).edge_count)
 
 
 @settings(max_examples=40)
 @given(graphs(min_n=2, max_n=7))
 def test_min_supergraph_nonedges_below_profile_sum(g):
     # nonedges(I_min) never exceeds the summed strong-boundary profile
-    # of the complement
+    # of the complement, n minus the least union of k of g's closed rows
     pairs = g.n * (g.n - 1) // 2
     nonedges_min = pairs - min_interval_supergraph(g).edge_count
-    profile_sum = sum(iso_profile(complement(g)).max_strong_boundary)
+    profile_sum = sum(g.n - value for value, _ in closed_unions(g).every())
     assert nonedges_min <= profile_sum
 
 

@@ -18,15 +18,9 @@ from boxkit.graphs import (
     strong_vertex_boundary,
     vertex_boundary,
 )
-from boxkit.isoperimetry import (
-    LeastUnions,
-    _least_union,
-    iso_profile,
-    max_strong_boundary,
-    min_boundary,
-)
+from boxkit.isoperimetry import LeastUnions, _least_union
 
-from .strategies import graphs
+from .strategies import boundary_profiles, closed_unions, graphs
 
 
 def _brute_profiles(g):
@@ -53,69 +47,62 @@ def _brute_profiles(g):
 @settings(max_examples=60)
 @given(graphs(min_n=2, max_n=6))
 def test_profile_matches_brute_force_including_witnesses(g):
-    prof = iso_profile(g)
-    bv, cv, bw, cw = _brute_profiles(g)
-    assert prof.min_boundary == bv
-    assert prof.max_strong_boundary == cv
     # combinations() scans in lexicographic order, so the first winner
     # is also the lexicographically smallest one
-    assert prof.min_boundary_witness == bw
-    assert prof.max_strong_boundary_witness == cw
+    assert boundary_profiles(g) == _brute_profiles(g)
 
 
 @settings(max_examples=60)
 @given(graphs(min_n=2, max_n=7))
 def test_complementation_duality(g):
-    co = complement(g)
-    prof = iso_profile(g)
-    prof_co = iso_profile(co)
+    boundary, strong, _, _ = boundary_profiles(g)
+    co_boundary, co_strong, _, _ = boundary_profiles(complement(g))
     for k in range(1, g.n):
-        assert prof_co.max_strong_boundary[k - 1] == g.n - k - prof.min_boundary[k - 1]
-        assert prof.max_strong_boundary[k - 1] == g.n - k - prof_co.min_boundary[k - 1]
+        assert co_strong[k - 1] == g.n - k - boundary[k - 1]
+        assert strong[k - 1] == g.n - k - co_boundary[k - 1]
 
 
 @settings(max_examples=60)
 @given(graphs(min_n=3, max_n=7))
 def test_strong_boundary_profile_is_nonincreasing(g):
-    prof = iso_profile(g)
-    c = prof.max_strong_boundary
+    c = boundary_profiles(g)[1]
     assert all(c[i] >= c[i + 1] for i in range(len(c) - 1))
 
 
 def test_cycle4_profiles():
-    prof = iso_profile(cycle(4))
-    assert prof.min_boundary == (2, 2, 1)
-    assert prof.max_strong_boundary == (2, 2, 0)
-    assert prof.min_boundary_witness == (0b0001, 0b0011, 0b0111)
+    boundary, strong, boundary_witness, strong_witness = boundary_profiles(cycle(4))
+    assert boundary == (2, 2, 1)
+    assert strong == (2, 2, 0)
+    assert boundary_witness == (0b0001, 0b0011, 0b0111)
     # only the antipodal pairs have two common neighbors
-    assert prof.max_strong_boundary_witness == (0b0001, 0b0101, 0b0111)
+    assert strong_witness == (0b0001, 0b0101, 0b0111)
 
 
 def test_single_size_queries_match_profile():
+    # one scan per size against one scan over all sizes, on g's closed
+    # rows and on the complement's
     g = cycle(5)
-    prof = iso_profile(g)
-    for k in range(1, g.n):
-        b, bwit = min_boundary(g, k)
-        c, cwit = max_strong_boundary(g, k)
-        assert b == prof.min_boundary[k - 1]
-        assert c == prof.max_strong_boundary[k - 1]
-        assert bwit == prof.min_boundary_witness[k - 1]
-        assert cwit == prof.max_strong_boundary_witness[k - 1]
+    for h in (g, complement(g)):
+        single = closed_unions(h)
+        assert tuple(single.least(k) for k in range(1, g.n)) == closed_unions(h).every()
 
 
 def test_subset_size_validation():
     g = cycle(4)
     with pytest.raises(ValueError):
-        min_boundary(g, 0)
+        closed_unions(g).least(0)
     with pytest.raises(ValueError):
-        max_strong_boundary(g, 5)
+        closed_unions(complement(g)).least(5)
 
 
-def test_budget_guards():
+def test_budget_guards(monkeypatch):
+    big = closed_unions(empty_graph(PROFILE_MAX_VERTICES + 1))
+    wide = closed_unions(empty_graph(40))
+    monkeypatch.setattr(isoperimetry, "np", _NoNumpy())
     with pytest.raises(BudgetExceededError):
-        iso_profile(empty_graph(PROFILE_MAX_VERTICES + 1))
-    with pytest.raises(BudgetExceededError):
-        min_boundary(empty_graph(40), 20)
+        big.every()
+    with pytest.raises(BudgetExceededError, match=r"C\(40,20\) subsets exceed"):
+        wide.least(20)
 
 
 def _loop_least_union(rows, k):

@@ -14,18 +14,18 @@ from boxkit.graphs import (
     complement,
     complete_graph,
     cycle,
+    degree_summary,
     from_edges,
     is_complete,
     path,
     strong_vertex_boundary,
 )
-from boxkit.intervals import boxicity_exact, canonical_supergraph
-from boxkit.isoperimetry import iso_profile, max_strong_boundary
+from boxkit.expansion_bounds import universal_bound
+from boxkit.intervals import boxicity_exact, canonical_rep, realize
 from boxkit.supergraph_bounds import (
     degree_ratio_bound,
     detect_family_bound,
     min_supergraph_bound,
-    regular_complement_bound,
     strong_boundary_bound,
 )
 from boxkit.families import (
@@ -39,7 +39,7 @@ from boxkit.families import (
     sample,
 )
 
-from .strategies import graphs
+from .strategies import closed_unions, graphs
 
 
 def test_min_supergraph_bound_on_four_cycle():
@@ -49,8 +49,8 @@ def test_min_supergraph_bound_on_four_cycle():
     assert report.ceiling == 2
     assert report.certificate["supergraph_edges"] == 5
     # the certificate ordering must actually achieve the claimed count
-    realized = canonical_supergraph(cycle(4), report.certificate["ordering"])
-    assert realized.graph.edge_count == 5
+    realized = realize(canonical_rep(cycle(4), report.certificate["ordering"]), 4)
+    assert realized.edge_count == 5
 
 
 def test_strong_boundary_bound_on_four_cycle():
@@ -103,49 +103,31 @@ def test_counting_bounds_are_sound(g):
 
 
 def test_regular_complement_on_octahedron():
+    # the complement is a perfect matching, so n / 2k = 6 / 2
     g = complete_multipartite(2, 3)
-    report = regular_complement_bound(6, 1, g)
-    assert report.value == Fraction(3)
-    assert report.certificate["verified"] is True
-
-
-def test_regular_complement_rejections():
-    g = complete_multipartite(2, 3)
-    assert regular_complement_bound(6, 2, g).reason == "regularity_mismatch"
-    assert regular_complement_bound(5, 1, g).reason == "size_mismatch"
-    assert regular_complement_bound(0, 1, g).reason == "bad_parameters"
-    assert regular_complement_bound(6, 0, g).reason == "bad_parameters"
-
-
-def test_regular_complement_trusted_mode():
-    # there is no unchecked mode: the graph is required and checked
-    with pytest.raises(TypeError):
-        regular_complement_bound(12, 3)
-    three_k4 = complete_multipartite(4, 3)
-    report = regular_complement_bound(12, 3, three_k4)
-    assert report.value == Fraction(2)
-    assert report.certificate["verified"] is True
+    summary = degree_summary(complement(g))
+    assert summary.is_regular and summary.min_degree == 1
+    assert universal_bound(g).value == Fraction(3)
 
 
 def test_regular_complement_bound_checks_the_graph():
-    """n / 2k is reported exactly when the complement is k-regular."""
+    """When the complement is k-regular with k >= 1, the universal bound
+    is n / 2k: no vertex is universal, and the least degree is n - k - 1."""
     for n in range(1, 7):
         for g in enumerate_graphs(n):
-            degrees = {row.bit_count() for row in complement(g).rows}
-            for k in range(1, n):
-                report = regular_complement_bound(n, k, g)
-                assert report.applicable == (degrees == {k})
-                if report.applicable:
-                    assert report.value == Fraction(n, 2 * k)
+            summary = degree_summary(complement(g))
+            k = summary.min_degree
+            if summary.is_regular and k >= 1:
+                assert universal_bound(g).value == Fraction(n, 2 * k)
 
 
 def test_family_coplanar_degree_screen():
     # the co-planar form is gone; the complement-regularity screen it ran
-    # is regular_complement_bound's, checked here on the same graphs
+    # and its n / 2k are the universal bound's, checked on the same graph
     g = complement_cycle(16)
-    assert regular_complement_bound(16, 2, g).applicable
-    assert regular_complement_bound(16, 3, g).reason == "regularity_mismatch"
-    assert regular_complement_bound(4, 1, complete_graph(4)).reason == "regularity_mismatch"
+    summary = degree_summary(complement(g))
+    assert summary.is_regular and summary.min_degree == 2
+    assert universal_bound(g).value == Fraction(16, 4)
 
 
 def test_family_complement_cycle_values():
@@ -167,7 +149,7 @@ def test_family_c4free_on_five_cycle():
     # C5 is self-complementary, 2-regular, and C4-free, so both forms
     # hold; the cycle form is tried first and is the larger
     g = cycle(5)
-    assert max_strong_boundary(complement(g), 2)[0] <= 1
+    assert g.n - closed_unions(g).least(2)[0] <= 1
     report = detect_family_bound(g)
     assert report.certificate["family"] == "complement_cycle"
     assert report.value == Fraction(5, 3) > Fraction(5, 4)
@@ -323,7 +305,7 @@ def test_family_reads_the_profile_and_scans_no_single_size(monkeypatch, g):
     # read the least closed unions strong_boundary found, so family runs
     # no scan of its own
     expected = detect_family_bound(g)
-    square_free = max_strong_boundary(complement(g), 2)[0] <= 1
+    square_free = g.n - closed_unions(g).least(2)[0] <= 1
     shared = tables.GraphTables(g)
     strong = strong_boundary_bound(shared)
 
@@ -344,7 +326,7 @@ def test_family_reads_the_profile_and_scans_no_single_size(monkeypatch, g):
 def test_strong_boundary_builds_no_complement(monkeypatch):
     # the complement's edge count is n(n - 1)/2 - m
     g = sample(RandomModelSpec("gnp", 12, 3, p=Fraction(1, 2)))
-    total = sum(iso_profile(complement(g)).max_strong_boundary)
+    total = sum(g.n - value for value, _ in closed_unions(g).every())
 
     def refuse(g):
         raise AssertionError("complement built")

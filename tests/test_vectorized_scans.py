@@ -49,21 +49,20 @@ from boxkit.intervals import (
     Ordering,
     _table_dtype,
     boxicity_exact,
-    canonical_supergraph,
+    canonical_rep,
     min_interval_supergraph,
+    realize,
 )
 from boxkit.isoperimetry import (
-    IsoProfile,
     LeastUnions,
     _fill_layers,
     _layer_starts,
     _layers,
     _least_union,
-    iso_profile,
-    max_strong_boundary,
-    min_boundary,
 )
 from boxkit.spectral import adjacency_matrix
+
+from .strategies import boundary_profiles, closed_unions
 
 
 def _python_min_supergraph(g):
@@ -170,7 +169,7 @@ def _mask_order_table(rows, n, use_and):
     return table
 
 
-def _scan_iso_profile(g):
+def _scan_profiles(g):
     """Both profiles by one boolean scan per size k over mask-indexed
     tables, with the lexicographically smallest extremal set as witness."""
     n = g.n
@@ -188,10 +187,10 @@ def _scan_iso_profile(g):
         cv.append(int(c_vals.max()))
         bw.append(min((int(x) for x in masks_k[b_vals == bv[-1]]), key=members))
         cw.append(min((int(x) for x in masks_k[c_vals == cv[-1]]), key=members))
-    return IsoProfile(n, tuple(bv), tuple(cv), tuple(bw), tuple(cw))
+    return tuple(bv), tuple(cv), tuple(bw), tuple(cw)
 
 
-def _full_table_profile(g):
+def _full_table_profiles(g):
     """Both profiles from two 2^n subset tables in the size-then-lex
     layout, one union and one intersection, with one extremum per layer
     slice: the first extremum of a slice is its smallest witness."""
@@ -209,7 +208,7 @@ def _full_table_profile(g):
         cv.append(int(strong[j]))
         bw.append(int(masks[i]))
         cw.append(int(masks[j]))
-    return IsoProfile(n, tuple(bv), tuple(cv), tuple(bw), tuple(cw))
+    return tuple(bv), tuple(cv), tuple(bw), tuple(cw)
 
 
 def _as_graph(drawn):
@@ -241,7 +240,7 @@ def _assert_matches_oracles(g):
     result = min_interval_supergraph(g)
     assert (result.edge_count, result.ordering.sequence()) == _python_min_supergraph(g)
     _assert_fold_matches_scan(g)
-    assert iso_profile(g) == _scan_iso_profile(g)
+    assert boundary_profiles(g) == _scan_profiles(g)
     co = complement(g)
     for pool_mask, target in _splits(g):
         pool = members(pool_mask)
@@ -252,13 +251,11 @@ def _assert_matches_oracles(g):
         for t in range(1, min(2, len(pool)) + 1):
             assert cross_expansion(g, pool_mask, target, t) == _loop_cross_expansion(
                 g, pool, target, t)
-    # the single-size queries read the same extrema as the profile
-    profile = iso_profile(g)
-    for k in range(1, g.n):
-        assert min_boundary(g, k) == (profile.min_boundary[k - 1],
-                                      profile.min_boundary_witness[k - 1])
-        assert max_strong_boundary(g, k) == (profile.max_strong_boundary[k - 1],
-                                             profile.max_strong_boundary_witness[k - 1])
+    # the single-size queries read the same extrema as the profile, on
+    # g's closed rows and on the complement's
+    for h in (g, co):
+        single = closed_unions(h)
+        assert tuple(single.least(k) for k in range(1, g.n)) == closed_unions(h).every()
 
 
 def _drawn(n):
@@ -296,7 +293,7 @@ def test_numpy_scans_match_loops_on_named_graphs(g):
 @pytest.mark.parametrize("n", [1, 2, 8, 16])
 def test_profile_matches_scan_on_empty_and_complete_graphs(n):
     for g in (empty_graph(n), complete_graph(n)):
-        assert iso_profile(g) == _scan_iso_profile(g)
+        assert boundary_profiles(g) == _scan_profiles(g)
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 16, 23, 24])
@@ -373,7 +370,7 @@ def test_split_dp_matches_oracles_on_odd_sizes(n):
 def test_split_dp_ordering_replays_at_the_vertex_cap():
     g = sample(RandomModelSpec("gnp", SUPERGRAPH_MAX_VERTICES, 1, p=Fraction(1, 2)))
     result = min_interval_supergraph(g)
-    assert canonical_supergraph(g, result.ordering).graph.edge_count == result.edge_count
+    assert realize(canonical_rep(g, result.ordering), g.n).edge_count == result.edge_count
     assert result.ordering == Ordering.from_sequence(result.ordering.sequence())
 
 
@@ -406,15 +403,17 @@ def test_supergraph_dp_output_is_pinned_at_the_top_of_its_reach(build, digest):
                          + _drawn(12) + [from_pair_mask(6, m) for m in (0, 1, 4711, 32767)],
                          ids=lambda g: f"n{g.n}m{g.edge_count}")
 def test_complement_profile_matches_direct_profile(g):
-    # max_strong(k, co) = n - k - min_boundary(k, g) and
-    # min_boundary(k, co) = n - k - max_strong(k, g), with the same
-    # lexicographically smallest witnesses
-    profile, co = iso_profile(g), iso_profile(complement(g))
+    # the complement's largest strong boundary is n - k minus g's least
+    # boundary, its least boundary n - k minus g's largest strong
+    # boundary, with the same lexicographically smallest witnesses
+    boundary, strong, boundary_witness, strong_witness = boundary_profiles(g)
+    co_boundary, co_strong, co_boundary_witness, co_strong_witness = (
+        boundary_profiles(complement(g)))
     sizes = range(1, g.n)
-    assert co.max_strong_boundary == tuple(g.n - k - b for k, b in zip(sizes, profile.min_boundary))
-    assert co.min_boundary == tuple(g.n - k - s for k, s in zip(sizes, profile.max_strong_boundary))
-    assert co.max_strong_boundary_witness == profile.min_boundary_witness
-    assert co.min_boundary_witness == profile.max_strong_boundary_witness
+    assert co_strong == tuple(g.n - k - b for k, b in zip(sizes, boundary))
+    assert co_boundary == tuple(g.n - k - s for k, s in zip(sizes, strong))
+    assert co_strong_witness == boundary_witness
+    assert co_boundary_witness == strong_witness
 
 
 def test_min_reach_matches_loop_past_one_word():
@@ -474,7 +473,7 @@ def test_split_profile_matches_full_tables(n):
     # n = 1 leaves the low half empty; odd n gives the high half one
     # vertex more than the low half
     for g in [empty_graph(n), complete_graph(n)] + _profile_drawn(n):
-        assert iso_profile(g) == _full_table_profile(g)
+        assert boundary_profiles(g) == _full_table_profiles(g)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 12, 19, 20])
@@ -482,8 +481,8 @@ def test_split_profile_witnesses_on_empty_and_complete_graphs(n):
     # every set of a size ties, so each witness is {0 .. k-1}
     first = tuple((1 << k) - 1 for k in range(1, n))
     for g in (empty_graph(n), complete_graph(n)):
-        profile = iso_profile(g)
-        assert profile.min_boundary_witness == profile.max_strong_boundary_witness == first
+        _, _, boundary_witness, strong_witness = boundary_profiles(g)
+        assert boundary_witness == strong_witness == first
 
 
 @pytest.mark.parametrize("entries", [1, 3 << 5, 100])
@@ -493,7 +492,7 @@ def test_split_profile_matches_full_tables_across_row_chunks(monkeypatch, entrie
     monkeypatch.setattr(isoperimetry, "_CHUNK_ENTRIES", entries)
     for n in (10, 11, 12):
         for g in [empty_graph(n), complete_graph(n)] + _profile_drawn(n):
-            assert iso_profile(g) == _full_table_profile(g)
+            assert boundary_profiles(g) == _full_table_profiles(g)
 
 
 def test_profile_temporaries_stay_within_the_chunk(monkeypatch):
@@ -502,10 +501,10 @@ def test_profile_temporaries_stay_within_the_chunk(monkeypatch):
     import tracemalloc
     monkeypatch.setattr(isoperimetry, "_CHUNK_ENTRIES", 1 << 12)
     first, second = _profile_drawn(20)[:2]
-    iso_profile(first)  # builds the cached half layouts
+    boundary_profiles(first)  # builds the cached half layouts
     tracemalloc.start()
     try:
-        iso_profile(second)
+        boundary_profiles(second)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
