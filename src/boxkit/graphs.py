@@ -9,6 +9,7 @@ returns a new Graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .bitset import bits, full_mask, popcount
@@ -52,8 +53,10 @@ class Graph:
         """All vertices, as a bitmask."""
         return full_mask(self.n)
 
-    @property
+    @cached_property
     def edge_count(self) -> int:
+        """Counted once per graph; the cache lives in the instance's
+        __dict__, which equality, hashing and repr do not read."""
         return sum(popcount(r) for r in self.rows) // 2
 
     @property

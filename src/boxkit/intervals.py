@@ -13,22 +13,24 @@ eta, there is a unique minimal one, I_eta, and it is contained in every
 other.  So only canonical supergraphs, one per ordering, ever need to be
 intersected, and minimizing edges of an interval supergraph becomes a
 minimum over orderings that a subset DP solves exactly.  The DP indexes
-its table by the subsets of two halves of the vertex set, rows by one
-half and columns by the other, so that each step reads whole rows, and
-stores the minima in the least unsigned dtype that holds them.  The
-closed-neighbourhood unions it reads are the same ones the isoperimetric
-profile minimizes, so the DP folds their least size for every subset
-size, with the profile's witnesses, and the strong boundary bound need
-not scan them again.
+its table by the subsets of two halves of the vertex set, rows by the
+high half and columns by the low one, so that each step reads whole
+rows, and stores the minima in the least unsigned dtype that holds
+them.  Up to 14 vertices the low half is all of them, and the table is
+one row.  The closed-neighbourhood unions it reads are the same ones
+the isoperimetric profile minimizes, so the DP folds their least size
+for every subset size, with the profile's witnesses, and the strong
+boundary bound need not scan them again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import pairwise
-from math import factorial
+from math import factorial, lcm
+from numbers import Rational
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +38,7 @@ import numpy as np
 from .bitset import bits, full_mask, popcount
 from .errors import SUPERGRAPH_MAX_VERTICES, BudgetExceededError, check_vertex_cap
 from .graphs import Graph, is_complete
-from .isoperimetry import _half_tables, _improves, _split_layouts
+from .isoperimetry import _half_tables, _improves, _low_size, _split_layouts
 
 BOX_MAX_VERTICES = 8
 BOX_SEARCH_NODE_BUDGET = 10**6
@@ -46,16 +48,35 @@ BOX_SEARCH_NODE_BUDGET = 10**6
 class IntervalRep:
     """One open interval (l, r) per vertex, as exact rationals.
 
-    All 2n endpoints must be pairwise distinct; that keeps the adjacency
-    predicate strict-inequality-only and the numbering by right endpoints
-    free of ties.
+    Each endpoint is an int or a Fraction; anything else, a float
+    included, raises ValueError.  All 2n endpoints must be pairwise
+    distinct; that keeps the adjacency predicate strict-inequality-only
+    and the numbering by right endpoints free of ties.
+
+    intervals is the representation, and the only field that equality,
+    hashing and repr read.  scaled holds the same endpoints once as
+    ints, each multiplied by the least common multiple of all the
+    denominators.  Scaling keeps their order, so every comparison here,
+    and in realize and induced_numbering, reads those ints instead of
+    comparing Fractions.
     """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
+    scaled: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for v, pair in enumerate(self.intervals):
+            for x in pair:
+                if not isinstance(x, Rational):
+                    raise ValueError(f"interval {v} has the endpoint {x!r}, "
+                                     "which is not an int or a Fraction")
+        scale = lcm(*(x.denominator for pair in self.intervals for x in pair))
+        scaled = tuple((lo.numerator * (scale // lo.denominator),
+                        hi.numerator * (scale // hi.denominator))
+                       for lo, hi in self.intervals)
+        object.__setattr__(self, "scaled", scaled)
         endpoints = []
-        for v, (lo, hi) in enumerate(self.intervals):
+        for v, (lo, hi) in enumerate(scaled):
             if lo >= hi:
                 raise ValueError(f"interval {v} has l >= r")
             endpoints.append(lo)
@@ -102,7 +123,7 @@ def realize(rep: IntervalRep, n: int) -> Graph:
     if rep.n != n:
         raise ValueError("representation size does not match vertex count")
     rows = [0] * n
-    iv = rep.intervals
+    iv = rep.scaled
     for u in range(n):
         lu, ru = iv[u]
         for v in range(u + 1, n):
@@ -126,7 +147,7 @@ def intersect_realized(reps, n: int) -> tuple[int, ...]:
 
 def induced_numbering(rep: IntervalRep) -> Ordering:
     """Vertices ranked by right endpoint."""
-    order = sorted(range(rep.n), key=lambda v: rep.intervals[v][1])
+    order = sorted(range(rep.n), key=lambda v: rep.scaled[v][1])
     return Ordering.from_sequence(order)
 
 
@@ -139,17 +160,23 @@ def canonical_rep(g: Graph, ordering: Ordering) -> IntervalRep:
     interval covers.  Two vertices are then adjacent iff the later one's
     earliest neighbor sits at or before the other, which both contains g
     and stays minimal among supergraphs inducing this numbering.
+
+    The reaches come from one walk along the ordering: the vertex at
+    position p lies in N[v] exactly when v lies in its closed
+    neighborhood, so each vertex not yet reached there has reach p.
     """
     n = g.n
     if ordering.n != n:
         raise ValueError("ordering size does not match graph")
-    ranks = ordering.ranks
-    intervals = []
-    for v in range(n):
-        reach = min(ranks[w] for w in bits(g.rows[v] | (1 << v)))
-        lo = Fraction(reach) - Fraction(v + 1, n + 1)
-        intervals.append((lo, Fraction(ranks[v])))
-    return IntervalRep(tuple(intervals))
+    reach = [0] * n
+    unreached = full_mask(n)
+    for pos, w in enumerate(ordering.sequence()):
+        near = unreached & (g.rows[w] | 1 << w)
+        for v in bits(near):
+            reach[v] = pos
+        unreached ^= near
+    return IntervalRep(tuple((Fraction(reach[v] * (n + 1) - (v + 1), n + 1), Fraction(rank))
+                             for v, rank in enumerate(ordering.ranks)))
 
 
 class MinSupergraph(NamedTuple):
@@ -178,24 +205,26 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
     f(S) is at most C(n, 2), and f is kept in _table_dtype(n): uint8 up
     to n = 23, uint16 above.
 
-    The vertices are split into the low half L = 0 .. n//2 - 1 and the
-    high half H.  f has one row per subset of H and one column per
-    subset of L, each half in the _layers order, so that removing a high
-    vertex moves to a row of the previous row layer and removing a low
-    vertex to a column of the previous column layer.  The rows are
-    filled one layer at a time.  A row layer starts from the rows of its
-    first high predecessor and takes the minimum with each other one,
-    one gather of whole rows from the layer before per high vertex; the
-    block is then transposed, and each column layer takes the minimum
-    over its low vertices with one gather of whole (transposed) rows
-    from the column layer before.  The row layer with no high vertex
-    starts at the dtype's maximum, above every f, so that its sets take
-    their minimum from their low vertices alone.  |N[S]| = |N[S & H] |
-    N[S & L]| is read from one closed-neighbourhood union table per half,
-    and turned in place into |Gamma(S)| = |N[S]| - |S|, which each
-    column layer then adds.  A row layer drops its blocks before the
-    next one builds its own, so beside f the DP holds one layer at a
-    time.
+    The vertices are split into the low half L = 0 .. _low_size(n) - 1
+    and the high half H.  f has one row per subset of H and one column
+    per subset of L, each half in the _layers order.  At n <= 14, L is
+    every vertex and H is empty, so f is one row of 2^n columns and the
+    DP runs as the one row layer with no high vertex; above that L is
+    the first n // 2 vertices.  Removing a high vertex moves to a row of
+    the previous row layer and removing a low vertex to a column of the
+    previous column layer.  The rows are filled one layer at a time.  A
+    row layer starts from the rows of its first high predecessor and
+    takes the minimum with each other one, one gather of whole rows from
+    the layer before per high vertex; the block is then transposed, and
+    each column layer takes the minimum over its low vertices with one
+    gather of whole (transposed) rows from the column layer before.  The
+    row layer with no high vertex starts at the dtype's maximum, above
+    every f, so that its sets take their minimum from their low vertices
+    alone.  |N[S]| = |N[S & H] | N[S & L]| is read from one
+    closed-neighbourhood union table per half, and turned in place into
+    |Gamma(S)| = |N[S]| - |S|, which each column layer then adds.  A row
+    layer drops its blocks before the next one builds its own, so beside
+    f the DP holds one layer at a time.
 
     Each row layer's unions are also folded into the least |N[X]| of
     every size k.  On the (row layer a, column layer k - a) block |X| is
@@ -213,7 +242,7 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
     """
     n = g.n
     check_vertex_cap(n, SUPERGRAPH_MAX_VERTICES)
-    h = n // 2
+    h = _low_size(n)
     low, high = _split_layouts(n)
     closed = [row | 1 << v for v, row in enumerate(g.rows)]
     reach_low, reach_high = _half_tables(closed)

@@ -9,11 +9,14 @@ rows, with the same witness.  So a bound on the complement's strong
 boundaries reads g's least closed unions, with the same
 lexicographically smallest witnesses.
 
-No table here spans all 2^n subsets.  The vertices are split into the
-low half L = {0 .. n//2 - 1} and the high half H, and the subsets of
-each half share one layout: ordered by size, and lexicographically (as
-sorted member tuples) within each size, so that layer k is one
-contiguous slice.  The layout follows the recursion
+No table here spans more subsets than one cached half layout holds,
+2^(PROFILE_MAX_VERTICES // 2).  The vertices are split into the low
+half L = {0 .. _low_size(n) - 1} and the high half H: L takes all n
+vertices while n <= PROFILE_MAX_VERTICES // 2, leaving H empty, and
+the first n // 2 above that.  The subsets of each half share one
+layout: ordered by size, and lexicographically (as sorted member
+tuples) within each size, so that layer k is one contiguous slice.
+The layout follows the recursion
 L(lo, k) = ({lo} + L(lo + 1, k - 1)) ++ L(lo + 1, k), which _fill_layers
 follows in place one vertex at a time, with no sort and no gather;
 _layers names each position's subset by its mask, and _half_layout
@@ -121,9 +124,17 @@ def _half_layout(m: int) -> _HalfLayout:
                        tuple(masks.tolist()), tuple(position.tolist()))
 
 
+def _low_size(n: int) -> int:
+    """How many of n vertices form the low half: all of them while they
+    fit in one cached half layout, so that every scan and the DP run as
+    one row layer, and the first n // 2 above that."""
+    return n if n <= PROFILE_MAX_VERTICES // 2 else n // 2
+
+
 def _split_layouts(n: int) -> tuple[_HalfLayout, _HalfLayout]:
-    """The layouts of the low vertices 0 .. n//2 - 1 and of the rest."""
-    h = n // 2
+    """The layouts of the low vertices 0 .. _low_size(n) - 1 and of the
+    rest."""
+    h = _low_size(n)
     return _half_layout(h), _half_layout(n - h)
 
 
@@ -134,7 +145,7 @@ def _half_tables(rows) -> tuple[np.ndarray, np.ndarray]:
     and then gathered into the layout.  uint32 holds rows of up to
     PROFILE_MAX_VERTICES bits."""
     tables = []
-    h = len(rows) // 2
+    h = _low_size(len(rows))
     for half, layout in zip((rows[:h], rows[h:]), _split_layouts(len(rows))):
         table = np.zeros(1 << len(half), dtype=np.uint32)
         for v, row in enumerate(half):
@@ -187,7 +198,7 @@ def _least_unions(rows, sizes: range, halves) -> list[tuple[int, int]]:
     n = len(rows)
     if not sizes:
         return []
-    h = n // 2
+    h = _low_size(n)
     low, high = _split_layouts(n)
     low_masks, high_masks = low.mask_list, high.mask_list
     low_table, high_table = halves

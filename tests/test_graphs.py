@@ -54,6 +54,14 @@ def test_edges_round_trip():
     assert from_edges(4, g.edges).rows == g.rows
 
 
+def test_cached_edge_count_leaves_equality_hash_and_repr_alone():
+    fresh, counted = cycle(5), cycle(5)
+    assert counted.edge_count == 5
+    assert "edge_count" in vars(counted) and "edge_count" not in vars(fresh)
+    assert counted == fresh and hash(counted) == hash(fresh)
+    assert repr(counted) == repr(fresh) == "Graph(n=5, rows=(18, 5, 10, 20, 9))"
+
+
 def test_from_pair_mask_enumerates_all_pairs():
     n = 4
     pairs = list(combinations(range(n), 2))

@@ -16,6 +16,7 @@ from boxkit.edgelist import (
     read_edge_list,
     write_edge_list,
 )
+from boxkit.errors import PROFILE_MAX_VERTICES
 from boxkit.families import (
     MODELS,
     RANDOM_MODELS,
@@ -225,8 +226,9 @@ def _record_subset_tables(monkeypatch, module):
 
 
 def test_min_supergraph_builds_no_full_subset_table(monkeypatch):
+    # above PROFILE_MAX_VERTICES // 2 vertices the halves split n // 2
     sizes = _record_subset_tables(monkeypatch, intervals)
-    for g in (complement_cycle(9), cycle(10)):
+    for g in (complement_cycle(15), cycle(16)):
         sizes.clear()
         run_bounds(g, ["min_supergraph"])
         # the two half layouts and the two half union tables
@@ -235,11 +237,26 @@ def test_min_supergraph_builds_no_full_subset_table(monkeypatch):
 
 def test_profile_builds_no_full_subset_table(monkeypatch):
     sizes = _record_subset_tables(monkeypatch, isoperimetry)
-    for g in (complement_cycle(9), cycle(10)):
+    for g in (complement_cycle(15), cycle(16)):
         sizes.clear()
         run_bounds(g, ["strong_boundary", "family"])
         # the half layouts and the half tables of the two unions
         assert sizes and max(sizes) <= 1 << (g.n + 1) // 2
+
+
+@pytest.mark.parametrize("module,methods", [
+    (intervals, ["min_supergraph"]),
+    (isoperimetry, ["strong_boundary", "family"]),
+], ids=["min_supergraph", "profile"])
+def test_one_layer_tables_stay_within_one_half_layout(monkeypatch, module, methods):
+    # up to PROFILE_MAX_VERTICES // 2 vertices the low half is every
+    # vertex, so a table spans all 2^n subsets, but never more than one
+    # half does at the profile's vertex cap
+    sizes = _record_subset_tables(monkeypatch, module)
+    for g in (complement_cycle(9), cycle(10), cycle(PROFILE_MAX_VERTICES // 2)):
+        sizes.clear()
+        run_bounds(g, methods)
+        assert sizes and max(sizes) == 1 << g.n <= 1 << PROFILE_MAX_VERTICES // 2
 
 
 def test_run_bounds_budget_becomes_inapplicable_row():

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, permutations
 from operator import or_
@@ -43,6 +44,24 @@ def test_interval_rep_validation():
     _rep((0, 1), (Fraction(1, 2), 2))
 
 
+@pytest.mark.parametrize("endpoint", [0.5, 2.0, Decimal("0.5"), "1", None],
+                         ids=["float", "integral-float", "decimal", "str", "none"])
+def test_interval_rep_rejects_non_rational_endpoints(endpoint):
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        IntervalRep(((Fraction(0), Fraction(1)), (endpoint, Fraction(3))))
+
+
+def test_interval_rep_scales_endpoints_to_ints():
+    # the least common multiple of the denominators 1, 2, 3 and 4 is 12
+    pairs = ((0, Fraction(3, 2)), (Fraction(-1, 3), Fraction(5, 4)))
+    rep = IntervalRep(pairs)
+    assert rep.scaled == ((0, 18), (-4, 15))
+    assert repr(rep) == f"IntervalRep(intervals={pairs!r})"
+    assert rep == IntervalRep(pairs) and hash(rep) == hash(IntervalRep(pairs))
+    assert induced_numbering(rep).sequence() == (1, 0)
+    assert realize(rep, 2).rows == complete_graph(2).rows
+
+
 def test_realize_basic_overlaps():
     # chain of overlaps realizes a path, disjoint intervals stay apart
     rep = _rep((0, 10), (9, 12), (11, 14), (13, 16))
@@ -71,6 +90,17 @@ def test_canonical_supergraph_contains_g_and_induces_eta(go):
     for v in range(g.n):
         assert g.rows[v] & ~supergraph.rows[v] == 0
     assert induced_numbering(rep) == eta
+
+
+@settings(max_examples=50)
+@given(graphs_with_ordering(min_n=1, max_n=7))
+def test_canonical_rep_matches_closed_neighborhood_minimum(go):
+    # each reach is the least rank over N[v], each left end one Fraction
+    g, eta = go
+    n = g.n
+    expected = tuple((Fraction(min(eta.ranks[w] for w in bits(g.rows[v] | 1 << v)))
+                      - Fraction(v + 1, n + 1), Fraction(eta.ranks[v])) for v in range(n))
+    assert canonical_rep(g, eta).intervals == expected
 
 
 @settings(max_examples=50)

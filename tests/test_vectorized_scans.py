@@ -357,9 +357,10 @@ def _odd_drawn(n):
     return [_as_graph(sample(spec)) for spec in specs]
 
 
-@pytest.mark.parametrize("n", [9, 13, 17])
+@pytest.mark.parametrize("n", [9, 13, 15, 17])
 def test_split_dp_matches_oracles_on_odd_sizes(n):
-    # the high half has one vertex more than the low half
+    # at n = 9 and 13 the low half is every vertex and f is one row; at
+    # n = 15 and 17 the high half has one vertex more than the low half
     for g in _odd_drawn(n):
         expected = _layered_min_supergraph(g)
         assert _dp_result(g) == expected
@@ -468,10 +469,11 @@ def _profile_drawn(n):
     return [sample(spec) for spec in specs]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 13, 17, 18, 20, 21, 22])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 13, 14, 15, 17, 18, 20, 21, 22])
 def test_split_profile_matches_full_tables(n):
-    # n = 1 leaves the low half empty; odd n gives the high half one
-    # vertex more than the low half
+    # up to n = 14 the low half is every vertex and the high half empty;
+    # from n = 15 the halves split n // 2, and odd n gives the high half
+    # one vertex more than the low half
     for g in [empty_graph(n), complete_graph(n)] + _profile_drawn(n):
         assert boundary_profiles(g) == _full_table_profiles(g)
 
@@ -485,12 +487,14 @@ def test_split_profile_witnesses_on_empty_and_complete_graphs(n):
         assert boundary_witness == strong_witness == first
 
 
-@pytest.mark.parametrize("entries", [1, 3 << 5, 100])
+@pytest.mark.parametrize("entries", [1, 3 << 7, 100])
 def test_split_profile_matches_full_tables_across_row_chunks(monkeypatch, entries):
-    # 1 puts one high row in each chunk, 3 << 5 three rows at n = 10 and
-    # 11 and one or two at n = 12, 100 a number that divides no layer
+    # up to n = 14 there is one high row, so the chunks are exercised from
+    # n = 15: 1 puts one high row in each chunk, 3 << 7 three rows of a
+    # whole-profile scan at n = 15 and one at n = 16 and 17, 100 a number
+    # that divides no layer
     monkeypatch.setattr(isoperimetry, "_CHUNK_ENTRIES", entries)
-    for n in (10, 11, 12):
+    for n in (15, 16, 17):
         for g in [empty_graph(n), complete_graph(n)] + _profile_drawn(n):
             assert boundary_profiles(g) == _full_table_profiles(g)
 
@@ -509,6 +513,19 @@ def test_profile_temporaries_stay_within_the_chunk(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 17
+
+
+def test_split_halves_fit_the_layout_cache():
+    # every half of every split up to the cap has at most
+    # PROFILE_MAX_VERTICES // 2 vertices, so the cache of one layout per
+    # half size never evicts: a second pass over all sizes builds none
+    isoperimetry._half_layout.cache_clear()
+    for _ in range(2):
+        for n in range(1, PROFILE_MAX_VERTICES + 1):
+            low, high = isoperimetry._split_layouts(n)
+            assert len(low.masks) * len(high.masks) == 1 << n
+            assert max(len(low.masks), len(high.masks)) <= 1 << PROFILE_MAX_VERTICES // 2
+    assert isoperimetry._half_layout.cache_info().misses == PROFILE_MAX_VERTICES // 2 + 1
 
 
 def test_profile_tables_fit_their_dtypes():
@@ -635,15 +652,15 @@ def test_every_scans_once_and_serves_later_queries(monkeypatch):
 
 
 def test_alternating_scans_build_no_layout_twice(monkeypatch):
-    # 18 rows split 9 + 9 and 9 rows split 4 + 5: three half sizes
+    # 18 rows split 9 + 9 and 15 rows split 7 + 8: three half sizes
     fills = _count_calls(monkeypatch, isoperimetry, "_fill_layers")
     isoperimetry._half_layout.cache_clear()
-    long_rows, short_rows = _tied_rows(18, 18, 1), _tied_rows(9, 9, 2)
+    long_rows, short_rows = _tied_rows(18, 18, 1), _tied_rows(15, 15, 2)
     for _ in range(3):
         for rows in (long_rows, short_rows):
             for k in (1, 2, 5):
                 LeastUnions(rows).least(k)
-    assert sorted(len(rows) for _, rows, _ in fills) == [4, 5, 9]
+    assert sorted(len(rows) for _, rows, _ in fills) == [7, 8, 9]
 
 
 @pytest.mark.parametrize("g", NAMED_18 + [complement_cycle(9), empty_graph(5)],
