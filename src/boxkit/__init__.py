@@ -67,7 +67,6 @@ from .intervals import (
     boxicity_le,
     canonical_rep,
     min_interval_supergraph,
-    realize,
     verify_box_certificate,
 )
 from .isoperimetry import LeastUnions

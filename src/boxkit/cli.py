@@ -33,7 +33,7 @@ from .harness import (
 from .intervals import boxicity_exact, verify_box_certificate
 from .spectral import adjacency_spectrum
 
-FAMILIES = ("cobipartite", "bipartite")
+FAMILIES = {"cobipartite": cobipartite_tight_family, "bipartite": bipartite_tight_family}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,9 +119,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    build = (cobipartite_tight_family if args.family == "cobipartite"
-             else bipartite_tight_family)
-    cert = build(args.k, args.l)
+    cert = FAMILIES[args.family](args.k, args.l)
     g = cert.graph
     line = (f"family={args.family} k={args.k} l={args.l} n={g.n} "
             f"m={g.edge_count} claimed_lower={cert.claimed_lower} "

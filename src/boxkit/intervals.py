@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import pairwise
 from math import factorial, lcm
 from numbers import Rational
@@ -57,8 +56,8 @@ class IntervalRep:
     hashing and repr read.  scaled holds the same endpoints once as
     ints, each multiplied by the least common multiple of all the
     denominators.  Scaling keeps their order, so every comparison here,
-    and in realize and induced_numbering, reads those ints instead of
-    comparing Fractions.
+    and in intersect_realized and induced_numbering, reads those ints
+    instead of comparing Fractions.
     """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
@@ -118,30 +117,16 @@ class Ordering:
         return Ordering(tuple(ranks))
 
 
-def realize(rep: IntervalRep, n: int) -> Graph:
-    """Graph realized by an interval representation."""
-    if rep.n != n:
-        raise ValueError("representation size does not match vertex count")
-    rows = [0] * n
-    iv = rep.scaled
-    for u in range(n):
-        lu, ru = iv[u]
-        for v in range(u + 1, n):
-            lv, rv = iv[v]
-            if lu < rv and lv < ru:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
-
-
 def intersect_realized(reps, n: int) -> tuple[int, ...]:
     """Rows of the intersection of the graphs the representations
     realize; with no representation, the complete graph."""
     inter = [full_mask(n) & ~(1 << v) for v in range(n)]
     for rep in reps:
-        realized = realize(rep, n)
-        for v in range(n):
-            inter[v] &= realized.rows[v]
+        if rep.n != n:
+            raise ValueError("representation size does not match vertex count")
+        for u, (lu, ru) in enumerate(rep.scaled):
+            # u's own bit is set here, and inter[u] never holds it
+            inter[u] &= sum(1 << v for v, (lv, rv) in enumerate(rep.scaled) if lu < rv and lv < ru)
     return tuple(inter)
 
 
@@ -315,8 +300,11 @@ class BoxCertificate:
 
 
 def verify_box_certificate(g: Graph, cert: BoxCertificate) -> bool:
-    """Exact re-check: edge intersection and numbering consistency."""
+    """Exact re-check: edge intersection and numbering consistency.  A
+    certificate for another vertex count is false, not an error."""
     if cert.k != len(cert.orderings) or cert.k != len(cert.reps):
+        return False
+    if any(part.n != g.n for part in (*cert.orderings, *cert.reps)):
         return False
     if any(induced_numbering(rep) != ordering
            for ordering, rep in zip(cert.orderings, cert.reps)):
@@ -333,10 +321,10 @@ def _nonedge_list(g: Graph) -> list[tuple[int, int]]:
     return out
 
 
-@lru_cache(maxsize=1)
-def _coverage_catalog(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """For each distinct behavior, the lexicographically first ordering
-    and the mask of non-edges its canonical supergraph omits.  Masks
+def _coverage_catalog(g: Graph) -> list[tuple[int, int]]:
+    """For each distinct behavior, the mask of non-edges its canonical
+    supergraph omits and the Lehmer rank of the lexicographically first
+    ordering with that behavior (_unrank turns it into the ordering).  Masks
     contained in another are dropped; any cover by a dropped mask is
     also a cover by its superset.
 
@@ -367,8 +355,6 @@ def _coverage_catalog(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
     contained in a later mask, so it is kept, and every mask it contains
     is dropped.  A word needs n + nonedges + bitlen(n! - 1) <= 64 bits,
     which every graph with n <= 9 meets; a wider graph raises ValueError.
-    Cached for the last graph only, so that boxicity_exact builds it
-    once across its calls to boxicity_le.
     """
     n = g.n
     nonedges = _nonedge_list(g)
@@ -409,23 +395,37 @@ def _coverage_catalog(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
     # bitwise_count is uint8, which would wrap under negation
     order = np.lexsort((mask, -np.bitwise_count(mask).astype(np.int8)))
     mask, code = mask[order], code[order]
-    maximal: list[tuple[int, tuple[int, ...]]] = []
+    maximal = []
     while len(mask):
-        head, rank = int(mask[0]), int(code[0])
-        unplaced = list(range(n))
-        seq = tuple(unplaced.pop(rank // factorial(n - 1 - k) % (n - k)) for k in range(n))
-        maximal.append((head, seq))
+        head = int(mask[0])
+        maximal.append((head, int(code[0])))
         outside = (mask | head) != head
         mask, code = mask[outside], code[outside]
-    return tuple(maximal)
+    return maximal
+
+
+def _unrank(n: int, rank: int) -> Ordering:
+    """The ordering whose vertex sequence has Lehmer rank rank among the
+    n! sequences in lex order."""
+    unplaced = list(range(n))
+    return Ordering.from_sequence([unplaced.pop(rank // factorial(n - 1 - k) % (n - k))
+                                   for k in range(n)])
 
 
 def boxicity_le(g: Graph, k: int) -> BoxCertificate | None:
-    """Certificate that boxicity(g) <= k, or None when it is not.
+    """Certificate with the fewest orderings that boxicity(g) <= k, or
+    None when it is not.
 
     Exhausts intersections of canonical supergraphs only, which loses no
-    solutions.  Raises BudgetExceededError when the graph or the search
-    outgrows the exact-oracle scale, never returning a guess.
+    solutions.  One iterative-deepening search: the catalog is built
+    once and the cover search runs at depth 1, 2, .. k, so the first
+    depth with a cover is boxicity(g).  Every depth shares one memo of
+    failed (uncovered, depth) states: what depth masks cannot cover they
+    cannot cover at any later depth either, so the memo drops no cover
+    and each depth finds the first cover in catalog order.  Raises
+    BudgetExceededError when the graph, or one depth's search past
+    BOX_SEARCH_NODE_BUDGET nodes, outgrows the exact-oracle scale, never
+    returning a guess.
     """
     if g.n > BOX_MAX_VERTICES:
         raise BudgetExceededError(f"exact boxicity capped at n <= {BOX_MAX_VERTICES}")
@@ -436,36 +436,35 @@ def boxicity_le(g: Graph, k: int) -> BoxCertificate | None:
     if k == 0:
         return None
     catalog = _coverage_catalog(g)
-    target = full_mask(g.n * (g.n - 1) // 2 - g.edge_count)
     best_pop = max(popcount(m) for m, _ in catalog)
     nodes = 0
-    memo: set[tuple[int, int]] = set()
+    failed: set[tuple[int, int]] = set()
 
-    def dfs(uncovered: int, depth: int) -> list[tuple[int, ...]] | None:
+    def dfs(uncovered: int, depth: int) -> list[int] | None:
         nonlocal nodes
         if uncovered == 0:
             return []
-        if depth == 0 or popcount(uncovered) > depth * best_pop:
-            return None
-        if (uncovered, depth) in memo:
+        if depth == 0 or popcount(uncovered) > depth * best_pop or (uncovered, depth) in failed:
             return None
         nodes += 1
         if nodes > BOX_SEARCH_NODE_BUDGET:
             raise BudgetExceededError("boxicity search node budget exhausted")
-        for mask, seq in catalog:
+        for mask, rank in catalog:
             if mask & uncovered:
                 found = dfs(uncovered & ~mask, depth - 1)
                 if found is not None:
-                    return [seq] + found
-        memo.add((uncovered, depth))
+                    return [rank] + found
+        failed.add((uncovered, depth))
         return None
 
-    seqs = dfs(target, k)
-    if seqs is None:
-        return None
-    orderings = tuple(Ordering.from_sequence(s) for s in seqs)
-    reps = tuple(canonical_rep(g, o) for o in orderings)
-    return BoxCertificate(len(orderings), orderings, reps)
+    target = full_mask(g.n * (g.n - 1) // 2 - g.edge_count)
+    for depth in range(1, k + 1):
+        nodes = 0
+        ranks = dfs(target, depth)
+        if ranks is not None:
+            orderings = tuple(_unrank(g.n, rank) for rank in ranks)
+            return BoxCertificate(depth, orderings, tuple(canonical_rep(g, o) for o in orderings))
+    return None
 
 
 class ExactBoxicity(NamedTuple):
@@ -474,7 +473,8 @@ class ExactBoxicity(NamedTuple):
 
 
 def boxicity_exact(g: Graph, max_k: int | None = None) -> ExactBoxicity:
-    """Smallest k admitting a certificate, searching k = 0, 1, 2, ...
+    """Smallest k admitting a certificate: one boxicity_le search up to
+    the cap, which returns the fewest orderings.
 
     Boxicity never exceeds floor(n/2), so the default cap is exact; a
     caller-supplied max_k below that turns into a budget error when the
@@ -486,8 +486,7 @@ def boxicity_exact(g: Graph, max_k: int | None = None) -> ExactBoxicity:
         if max_k < 0:
             raise ValueError(f"max_k must be nonnegative, got {max_k}")
         limit = min(limit, max_k)
-    for k in range(limit + 1):
-        cert = boxicity_le(g, k)
-        if cert is not None:
-            return ExactBoxicity(cert.k, cert)
-    raise BudgetExceededError(f"boxicity exceeds the search cap {limit}")
+    cert = boxicity_le(g, limit)
+    if cert is None:
+        raise BudgetExceededError(f"boxicity exceeds the search cap {limit}")
+    return ExactBoxicity(cert.k, cert)

@@ -63,8 +63,8 @@ def _layer_starts(n: int) -> tuple[int, ...]:
     return tuple(starts)
 
 
-def _fill_layers(first: np.generic, rows, op) -> np.ndarray:
-    """table[X] = first op rows[x] op ... over x in X, for every subset X
+def _fill_layers(first: np.generic, rows) -> np.ndarray:
+    """table[X] = first | rows[x] | ... over x in X, for every subset X
     of range(len(rows)), in the size-then-lex layout."""
     n = len(rows)
     table = np.empty(1 << n, dtype=first.dtype)
@@ -76,7 +76,7 @@ def _fill_layers(first: np.generic, rows, op) -> np.ndarray:
         # lands on an old layer not yet moved.
         row = first.dtype.type(rows[lo])
         for a, b in reversed(tuple(pairwise(_layer_starts(n - lo - 1)))):
-            op(table[a:b], row, out=table[a + b:2 * b])
+            np.bitwise_or(table[a:b], row, out=table[a + b:2 * b])
             table[2 * a:a + b] = table[a:b]  # numpy copies overlaps safely
     table.flags.writeable = False
     return table
@@ -85,7 +85,7 @@ def _fill_layers(first: np.generic, rows, op) -> np.ndarray:
 def _layers(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """The mask of every subset of range(n), by size and then
     lexicographically, with the layer starts (int32 masks)."""
-    masks = _fill_layers(np.int32(0), tuple(1 << v for v in range(n)), np.bitwise_or)
+    masks = _fill_layers(np.int32(0), tuple(1 << v for v in range(n)))
     return masks, _layer_starts(n)
 
 

@@ -13,6 +13,7 @@ from boxkit.families import (
     RandomModelSpec,
     cobipartite_tight_family,
     complete_multipartite,
+    enumerate_graphs,
     sample,
 )
 from boxkit.graphs import (
@@ -27,12 +28,18 @@ from boxkit.intervals import (
     BOX_MAX_VERTICES,
     _coverage_catalog,
     _nonedge_list,
+    _unrank,
     boxicity_exact,
     boxicity_le,
     verify_box_certificate,
 )
 
 from .test_isoperimetry import _NoNumpy
+
+
+def _decoded(catalog, n):
+    """The catalog with each Lehmer rank decoded to its vertex sequence."""
+    return [(mask, _unrank(n, rank).sequence()) for mask, rank in catalog]
 
 
 def _brute_coverage_catalog(g):
@@ -122,7 +129,7 @@ def test_catalog_matches_permutation_scan_on_every_labelled_graph(n):
     pairs = n * (n - 1) // 2
     for mask in range(1 << pairs):
         g = from_pair_mask(n, mask)
-        assert list(_coverage_catalog(g)) == _brute_coverage_catalog(g), mask
+        assert _decoded(_coverage_catalog(g), g.n) == _brute_coverage_catalog(g), mask
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -131,7 +138,7 @@ def test_catalog_matches_permutation_scan_on_random_graphs(n):
     for seed in range(count):
         for p in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
             g = _gnp(n, seed, p)
-            assert list(_coverage_catalog(g)) == _brute_coverage_catalog(g), (seed, p)
+            assert _decoded(_coverage_catalog(g), g.n) == _brute_coverage_catalog(g), (seed, p)
 
 
 @pytest.mark.parametrize("g", [
@@ -142,7 +149,7 @@ def test_catalog_matches_permutation_scan_on_random_graphs(n):
     _gnp(8, 2),
 ], ids=["K2222", "C8", "co-C8", "gnp8-1", "gnp8-2"])
 def test_catalog_matches_permutation_scan_at_n8(g):
-    assert list(_coverage_catalog(g)) == _brute_coverage_catalog(g)
+    assert _decoded(_coverage_catalog(g), g.n) == _brute_coverage_catalog(g)
 
 
 _N8_MODELS = {
@@ -156,10 +163,9 @@ _N8_MODELS = {
 
 def _assert_plain_ints(catalog):
     # a numpy scalar would compare equal but print differently, and the
-    # orderings end up in certificate bytes
-    for mask, seq in catalog:
-        assert type(mask) is int
-        assert all(type(v) is int for v in seq)
+    # orderings decoded from the ranks end up in certificate bytes
+    for mask, rank in catalog:
+        assert type(mask) is int and type(rank) is int
 
 
 @pytest.mark.parametrize("model", list(_N8_MODELS))
@@ -168,7 +174,7 @@ def test_catalog_matches_dict_dp_at_n8(model):
         drawn = sample(RandomModelSpec(n=8, seed=seed, **_N8_MODELS[model]))
         g = drawn.to_graph() if isinstance(drawn, BipartiteGraph) else drawn
         catalog = _coverage_catalog(g)
-        assert list(catalog) == _dict_coverage_catalog(g), seed
+        assert _decoded(catalog, g.n) == _dict_coverage_catalog(g), seed
         _assert_plain_ints(catalog)
 
 
@@ -176,7 +182,7 @@ def test_catalog_matches_dict_dp_at_n8(model):
 def test_catalog_matches_dict_dp_at_n9(g):
     # past BOX_MAX_VERTICES; C9 needs 9 + 27 + 19 = 55 of the word's 64 bits
     catalog = _coverage_catalog(g)
-    assert list(catalog) == _dict_coverage_catalog(g)
+    assert _decoded(catalog, g.n) == _dict_coverage_catalog(g)
     _assert_plain_ints(catalog)
 
 
@@ -190,7 +196,6 @@ def test_catalog_dtypes_have_headroom_at_the_exact_cap():
 
 
 def test_catalog_refuses_keys_wider_than_int64():
-    _coverage_catalog.cache_clear()
     with pytest.raises(ValueError, match=r"n \+ nonedges \+ bitlen\(n! - 1\) <= 64, got 92"):
         _coverage_catalog(empty_graph(11))
 
@@ -198,9 +203,8 @@ def test_catalog_refuses_keys_wider_than_int64():
 def test_catalog_fills_all_64_bits_at_n9():
     g = empty_graph(9)
     assert _word_bits(9, comb(9, 2)) == 64
-    _coverage_catalog.cache_clear()
     catalog = _coverage_catalog(g)
-    assert list(catalog) == _dict_coverage_catalog(g)
+    assert _decoded(catalog, g.n) == _dict_coverage_catalog(g)
     _assert_plain_ints(catalog)
 
 
@@ -210,15 +214,13 @@ _C10_RING = [(v, (v + 1) % 10) for v in range(10)]
 def test_catalog_at_n10_with_thirteen_edges_fills_the_word():
     g = from_edges(10, _C10_RING + [(0, 5), (2, 7), (4, 9)])
     assert _word_bits(10, comb(10, 2) - g.edge_count) == 64
-    _coverage_catalog.cache_clear()
-    assert list(_coverage_catalog(g)) == _dict_coverage_catalog(g)
+    assert _decoded(_coverage_catalog(g), g.n) == _dict_coverage_catalog(g)
 
 
 def test_catalog_width_rule_raises_before_any_array(monkeypatch):
     g = from_edges(10, _C10_RING + [(0, 5), (2, 7)])
     assert _word_bits(10, comb(10, 2) - g.edge_count) == 65
     monkeypatch.setattr(intervals, "np", _NoNumpy())
-    _coverage_catalog.cache_clear()
     with pytest.raises(ValueError, match=r"n \+ nonedges \+ bitlen\(n! - 1\) <= 64, got 65"):
         _coverage_catalog(g)
 
@@ -227,7 +229,6 @@ def test_catalog_peak_memory_at_n9():
     # one candidate word, its (P, mask) head and a keep flag per candidate
     # (about 2 MB); a dozen per-candidate arrays took over 6 MB
     g = cycle(9)
-    _coverage_catalog.cache_clear()
     tracemalloc.start()
     try:
         _coverage_catalog(g)
@@ -245,13 +246,43 @@ def test_boxicity_exact_builds_catalog_once(monkeypatch):
         return _nonedge_list(g)
 
     monkeypatch.setattr(intervals, "_nonedge_list", counting)
-    _coverage_catalog.cache_clear()
     g = complete_multipartite(2, 4)
     assert boxicity_exact(g).value == 4
     assert builds == [g]
     other = cycle(8)
     assert boxicity_exact(other).value == 2
     assert builds == [g, other]
+
+
+def test_boxicity_exact_runs_one_search_per_graph(monkeypatch):
+    calls = []
+    real = intervals.boxicity_le
+
+    def counting(g, k):
+        calls.append((g, k))
+        return real(g, k)
+
+    monkeypatch.setattr(intervals, "boxicity_le", counting)
+    graphs = [complete_multipartite(2, 4), cycle(8), complement(cycle(8)), _gnp(8, 1)]
+    assert [boxicity_exact(g).value for g in graphs] == [4, 2, 3, 2]
+    assert calls == [(g, 4) for g in graphs]
+
+
+def test_exact_search_node_budget_raises(monkeypatch):
+    # the cover of K2222's four non-edges visits four nodes at depth 4
+    monkeypatch.setattr(intervals, "BOX_SEARCH_NODE_BUDGET", 3)
+    with pytest.raises(BudgetExceededError, match="node budget exhausted"):
+        boxicity_exact(complete_multipartite(2, 4))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_boxicity_le_returns_the_fewest_orderings(n):
+    for g in enumerate_graphs(n):
+        value = boxicity_exact(g).value
+        for k in range(value, n // 2 + 2):
+            cert = boxicity_le(g, k)
+            assert cert.k == value, (g.rows, k)
+            assert verify_box_certificate(g, cert)
 
 
 def test_boxicity_le_argument_checks():

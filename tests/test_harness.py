@@ -22,6 +22,7 @@ from boxkit.families import (
     RANDOM_MODELS,
     RandomModelSpec,
     complement_cycle,
+    complete_multipartite,
     enumerate_graphs,
     sample,
 )
@@ -210,9 +211,9 @@ def _record_subset_tables(monkeypatch, module):
     real_fill = isoperimetry._fill_layers
     real_half = isoperimetry._half_tables
 
-    def fill(first, rows, op):
+    def fill(first, rows):
         sizes.append(1 << len(rows))
-        return real_fill(first, rows, op)
+        return real_fill(first, rows)
 
     def half(rows):
         tables = real_half(rows)
@@ -533,6 +534,16 @@ def test_cli_exact_budget_exit_code(tmp_path, capsys):
     text = format_edge_list(cycle(9))
     graph_file = _write(tmp_path / "c9.edges", text)
     assert main(["exact", "--input", graph_file]) == 3
+
+
+def test_cli_exact_search_budget_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(intervals, "BOX_SEARCH_NODE_BUDGET", 3)
+    text = format_edge_list(complete_multipartite(2, 4))
+    graph_file = _write(tmp_path / "k2222.edges", text)
+    assert main(["exact", "--input", graph_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "budget exceeded: boxicity search node budget exhausted\n"
+    assert "Traceback" not in captured.err
 
 
 def test_cli_exact_negative_max_k_is_bad_input(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from boxkit.bitset import bits, popcount
 from boxkit.errors import BudgetExceededError
 from boxkit.graphs import (
+    Graph,
     complete_graph,
     cycle,
     empty_graph,
@@ -24,12 +25,16 @@ from boxkit.intervals import (
     boxicity_le,
     canonical_rep,
     induced_numbering,
+    intersect_realized,
     min_interval_supergraph,
-    realize,
     verify_box_certificate,
 )
 
 from .strategies import closed_unions, graphs, graphs_with_ordering
+
+
+def _realized(rep, n):
+    return Graph(n, intersect_realized([rep], n))
 
 
 def _rep(*pairs):
@@ -59,18 +64,18 @@ def test_interval_rep_scales_endpoints_to_ints():
     assert repr(rep) == f"IntervalRep(intervals={pairs!r})"
     assert rep == IntervalRep(pairs) and hash(rep) == hash(IntervalRep(pairs))
     assert induced_numbering(rep).sequence() == (1, 0)
-    assert realize(rep, 2).rows == complete_graph(2).rows
+    assert _realized(rep, 2).rows == complete_graph(2).rows
 
 
 def test_realize_basic_overlaps():
     # chain of overlaps realizes a path, disjoint intervals stay apart
     rep = _rep((0, 10), (9, 12), (11, 14), (13, 16))
-    assert realize(rep, 4).rows == path(4).rows
+    assert _realized(rep, 4).rows == path(4).rows
     rep2 = _rep((0, 1), (2, 3), (4, 5))
-    assert realize(rep2, 3).rows == empty_graph(3).rows
+    assert _realized(rep2, 3).rows == empty_graph(3).rows
     # containment is still an overlap
     rep3 = _rep((0, 10), (4, 5))
-    assert realize(rep3, 2).rows == complete_graph(2).rows
+    assert _realized(rep3, 2).rows == complete_graph(2).rows
 
 
 def test_ordering_round_trip():
@@ -86,7 +91,7 @@ def test_ordering_round_trip():
 def test_canonical_supergraph_contains_g_and_induces_eta(go):
     g, eta = go
     rep = canonical_rep(g, eta)
-    supergraph = realize(rep, g.n)
+    supergraph = _realized(rep, g.n)
     for v in range(g.n):
         assert g.rows[v] & ~supergraph.rows[v] == 0
     assert induced_numbering(rep) == eta
@@ -109,12 +114,12 @@ def test_canonical_edge_count_is_prefix_boundary_sum(go):
     g, eta = go
     prefixes = list(accumulate((1 << v for v in eta.sequence()), or_))
     boundary_sum = sum(popcount(vertex_boundary(g, s)) for s in prefixes[:-1])
-    assert realize(canonical_rep(g, eta), g.n).edge_count == boundary_sum
+    assert _realized(canonical_rep(g, eta), g.n).edge_count == boundary_sum
 
 
 def test_canonical_supergraph_of_c4_identity_ordering():
     c4 = cycle(4)
-    supergraph = realize(canonical_rep(c4, Ordering((0, 1, 2, 3))), 4)
+    supergraph = _realized(canonical_rep(c4, Ordering((0, 1, 2, 3))), 4)
     expected = from_edges(4, c4.edges + [(1, 3)])
     assert supergraph.rows == expected.rows
     assert supergraph.edge_count == 5
@@ -146,7 +151,7 @@ def _brute_min_supergraph(g):
 def test_min_supergraph_dp_matches_brute_force(g):
     result = min_interval_supergraph(g)
     assert result.edge_count == _brute_min_supergraph(g)
-    realized = realize(canonical_rep(g, result.ordering), g.n)
+    realized = _realized(canonical_rep(g, result.ordering), g.n)
     assert realized.edge_count == result.edge_count
 
 
@@ -155,7 +160,7 @@ def test_min_supergraph_dp_matches_brute_force(g):
 def test_min_supergraph_dominates_every_ordering(go):
     g, eta = go
     assert (min_interval_supergraph(g).edge_count
-            <= realize(canonical_rep(g, eta), g.n).edge_count)
+            <= _realized(canonical_rep(g, eta), g.n).edge_count)
 
 
 @settings(max_examples=40)
@@ -188,6 +193,16 @@ def test_boxicity_le_and_certificates():
     # a certificate for the wrong graph fails verification
     assert not verify_box_certificate(cycle(5) if c4.n == 5 else path(4),
                                       exact.certificate)
+
+
+def test_certificate_for_another_vertex_count_is_false():
+    cert = boxicity_exact(cycle(5)).certificate
+    assert not verify_box_certificate(path(4), cert)
+    assert not verify_box_certificate(cycle(6), cert)
+    # orderings of the graph's size beside representations of another
+    c4 = boxicity_exact(cycle(4)).certificate
+    mixed = BoxCertificate(2, c4.orderings, cert.reps)
+    assert not verify_box_certificate(cycle(4), mixed)
 
 
 def test_certificate_tampering_detected():

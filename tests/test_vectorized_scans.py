@@ -33,6 +33,7 @@ from boxkit.families import (
 )
 from boxkit.graphs import (
     BipartiteGraph,
+    Graph,
     bipartition,
     closed_neighborhood,
     complement,
@@ -50,8 +51,8 @@ from boxkit.intervals import (
     _table_dtype,
     boxicity_exact,
     canonical_rep,
+    intersect_realized,
     min_interval_supergraph,
-    realize,
 )
 from boxkit.isoperimetry import (
     LeastUnions,
@@ -109,10 +110,10 @@ def _layered_min_supergraph(g):
     n = g.n
     unfilled = np.iinfo(np.int16).max
     vertex_bits = tuple(1 << (n - 1 - v) for v in range(n))
-    addresses = _fill_layers(np.int32(0), vertex_bits, np.bitwise_or)
+    addresses = _fill_layers(np.int32(0), vertex_bits)
     starts = _layer_starts(n)
     closed = tuple(row | 1 << v for v, row in enumerate(g.rows))
-    sizes = np.bitwise_count(_fill_layers(np.uint32(0), closed, np.bitwise_or)).astype(np.int16)
+    sizes = np.bitwise_count(_fill_layers(np.uint32(0), closed)).astype(np.int16)
     f = np.full(1 << n, unfilled, dtype=np.int16)
     f[0] = 0
     for k, (a, b) in enumerate(pairwise(starts)):
@@ -192,13 +193,16 @@ def _scan_profiles(g):
 
 def _full_table_profiles(g):
     """Both profiles from two 2^n subset tables in the size-then-lex
-    layout, one union and one intersection, with one extremum per layer
-    slice: the first extremum of a slice is its smallest witness."""
+    layout, one union of the closed rows and one of the rows'
+    complements (an intersection of rows has n less its size), with one
+    extremum per layer slice: the first extremum of a slice is its
+    smallest witness."""
     n = g.n
     masks, starts = _layers(n)
     closed = tuple(row | 1 << v for v, row in enumerate(g.rows))
-    union = np.bitwise_count(_fill_layers(np.uint32(0), closed, np.bitwise_or))
-    strong = np.bitwise_count(_fill_layers(np.uint32((1 << n) - 1), g.rows, np.bitwise_and))
+    union = np.bitwise_count(_fill_layers(np.uint32(0), closed))
+    co_rows = tuple(((1 << n) - 1) & ~row for row in g.rows)
+    strong = n - np.bitwise_count(_fill_layers(np.uint32(0), co_rows)).astype(np.int64)
     bv, cv, bw, cw = [], [], [], []
     for k in range(1, n):
         a, b = starts[k], starts[k + 1]
@@ -371,7 +375,8 @@ def test_split_dp_matches_oracles_on_odd_sizes(n):
 def test_split_dp_ordering_replays_at_the_vertex_cap():
     g = sample(RandomModelSpec("gnp", SUPERGRAPH_MAX_VERTICES, 1, p=Fraction(1, 2)))
     result = min_interval_supergraph(g)
-    assert realize(canonical_rep(g, result.ordering), g.n).edge_count == result.edge_count
+    realized = intersect_realized([canonical_rep(g, result.ordering)], g.n)
+    assert Graph(g.n, realized).edge_count == result.edge_count
     assert result.ordering == Ordering.from_sequence(result.ordering.sequence())
 
 
@@ -660,7 +665,7 @@ def test_alternating_scans_build_no_layout_twice(monkeypatch):
         for rows in (long_rows, short_rows):
             for k in (1, 2, 5):
                 LeastUnions(rows).least(k)
-    assert sorted(len(rows) for _, rows, _ in fills) == [7, 8, 9]
+    assert sorted(len(rows) for _, rows in fills) == [7, 8, 9]
 
 
 @pytest.mark.parametrize("g", NAMED_18 + [complement_cycle(9), empty_graph(5)],
