@@ -33,7 +33,6 @@ from .graphs import (
     Graph,
     bipartite_from_edges,
     bipartition,
-    closed_neighborhood,
     complement,
     complete_graph,
     cycle,

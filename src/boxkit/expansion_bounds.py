@@ -25,7 +25,6 @@ from .graphs import (
     BipartiteGraph,
     Graph,
     bipartition,
-    closed_neighborhood,
     induced_subgraph,
     is_complete,
     universal_vertices,
@@ -65,6 +64,11 @@ def co_expansion_table(g: Graph, subset_side: int, target_side: int,
         raise ValueError(f"j_max = {j_max} outside 1..{size}")
     unions = LeastUnions(_co_rows(g, subset_side, target_side))
     return tuple(unions.least(j)[0] for j in range(1, j_max + 1))
+
+
+def _dominating(g: Graph, s1: int, s2: int) -> int:
+    """The vertices of s2 whose closed neighbourhoods contain s1."""
+    return mask_of(u for u in bits(s2) if (g.rows[u] | 1 << u) & s1 == s1)
 
 
 @dataclass(frozen=True)
@@ -108,9 +112,8 @@ def certify_expansion_bound(g: Graph | GraphTables, s1: int, s2: int,
     n1, n2 = popcount(s1), popcount(s2)
     if not 1 <= t <= n1:
         raise ValueError(f"t = {t} outside 1..{n1}")
-    for u in bits(s2):
-        if closed_neighborhood(g, 1 << u) & s1 == s1:
-            raise ValueError(f"vertex {u} of s2 dominates s1")
+    if dominating := _dominating(g, s1, s2):
+        raise ValueError(f"vertex {next(bits(dominating))} of s2 dominates s1")
 
     beta = cross_expansion(tables, s1, s2, t)
     co_unions = tables.unions(_co_rows(g, s2, s1))
@@ -209,11 +212,7 @@ def best_expansion_bound(g: Graph | GraphTables, t_max: int = 2) -> BoundReport:
     sides = bipartition(g)
     if sides is not None:
         for s1, s2 in (sides, sides[::-1]):
-            drop = 0
-            for u in bits(s2):
-                if closed_neighborhood(g, 1 << u) & s1 == s1:
-                    drop |= 1 << u
-            s2_kept = s2 & ~drop
+            s2_kept = s2 & ~_dominating(g, s1, s2)
             if s2_kept == 0:
                 continue
             keep = s1 | s2_kept

@@ -72,9 +72,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
-    def degree(self, v: int) -> int:
-        return popcount(self.rows[v])
-
 
 def from_edges(n: int, edges) -> Graph:
     """Graph from an iterable of (u, v) pairs.  Duplicates collapse."""
@@ -166,11 +163,6 @@ def open_neighborhood(g: Graph, x: int) -> int:
     for v in bits(x):
         acc |= g.rows[v]
     return acc
-
-
-def closed_neighborhood(g: Graph, x: int) -> int:
-    """N[X] = X together with all neighbors of X."""
-    return x | open_neighborhood(g, x)
 
 
 def vertex_boundary(g: Graph, x: int) -> int:

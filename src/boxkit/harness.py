@@ -53,7 +53,7 @@ BOUNDS = {
     FAMILY: lambda tables, t_max: detect_family_bound(tables),
     DEGREE_RATIO: lambda tables, t_max: degree_ratio_bound(tables),
     UNIVERSAL: lambda tables, t_max: universal_bound(tables),
-    SPECTRAL: lambda tables, t_max: spectral_bound(tables.graph),
+    SPECTRAL: lambda tables, t_max: spectral_bound(tables),
     EXPANSION: lambda tables, t_max: best_expansion_bound(tables, t_max=t_max),
 }
 ALL_BOUNDS = tuple(BOUNDS)

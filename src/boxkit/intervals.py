@@ -37,7 +37,7 @@ import numpy as np
 from .bitset import bits, full_mask, popcount
 from .errors import SUPERGRAPH_MAX_VERTICES, BudgetExceededError, check_vertex_cap
 from .graphs import Graph, is_complete
-from .isoperimetry import _half_tables, _improves, _low_size, _split_layouts
+from .isoperimetry import _fold_blocks, _half_tables, _low_size, _split_layouts
 
 BOX_MAX_VERTICES = 8
 BOX_SEARCH_NODE_BUDGET = 10**6
@@ -212,13 +212,11 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
     f the DP holds one layer at a time.
 
     Each row layer's unions are also folded into the least |N[X]| of
-    every size k.  On the (row layer a, column layer k - a) block |X| is
-    k, so |N[X]| = |Gamma(X)| + k there.  The block is one contiguous
-    run of the layer's (column x row) array, reduced to its minimum; its
-    first minimum in (column, row) order is its lexicographically
-    smallest witness, and the blocks' witnesses are compared as the
-    profile scan (_least_unions) compares them.  So closed_unions equals
-    LeastUnions.every on the closed rows, witnesses included.
+    every size k = 1 .. n-1: before they are turned into |Gamma(S)|, the
+    layer's (column x row) array of |N[S]|, less the empty and the full
+    set, goes to _fold_blocks, the fold the profile scan (_least_unions)
+    runs on its chunks.  So closed_unions equals LeastUnions.every on
+    the closed rows, witnesses included.
 
     No choice table is kept.  The ordering is walked back from the
     table: from the full set, each step removes the smallest v in S
@@ -234,16 +232,15 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
     dtype = _table_dtype(n)
     f = np.empty((len(reach_high), len(reach_low)), dtype=dtype)
     low_sizes = np.bitwise_count(low.masks)[:, None]
-    col_starts = low.starts[:-1]
-    low_masks, high_masks = low.mask_list, high.mask_list
     least: dict[int, tuple[int, int]] = {}
     for a, (r0, r1) in enumerate(pairwise(high.starts)):
-        # |Gamma(S)| for every S in this row layer, one row per column
+        # |N[S]| for every S in this row layer, one row per column, folded
+        # without the empty set (first in the first row layer) and the
+        # full set (last in the last), then turned into |Gamma(S)|
         gamma = np.bitwise_count(reach_low[:, None] | reach_high[r0:r1])
+        start, stop = int(a == 0), len(reach_low) - int(r1 == len(reach_high))
+        _fold_blocks(least, gamma[start:stop], a, start, low, high)
         gamma -= low_sizes + a
-        width = r1 - r0
-        # each column layer's rows are one contiguous run of gamma
-        minima = np.minimum.reduceat(gamma.ravel(), [c * width for c in col_starts]).tolist()
         if a:
             best = np.take(f, high.preds[a][0], axis=0)
             rows = np.empty_like(best)
@@ -262,13 +259,6 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
             if b:
                 np.minimum(part, np.take(block, low.preds[b], axis=0).min(axis=0), out=part)
             part += gamma[c0:c1]
-            held, size = least.get(a + b), minima[b] + a + b
-            if 0 < a + b < n and _improves(held, size, low_masks[c0] | high_masks[r0] << h):
-                # the first minimum in (column, row) order
-                col, row = divmod(c0 * width + int(gamma[c0:c1].argmin()), width)
-                mask = low_masks[col] | high_masks[r0 + row] << h
-                if _improves(held, size, mask):
-                    least[a + b] = (size, mask)
         f[r0:r1] = block.T
         del block, part, gamma  # before the next layer builds its own
     low_mask = (1 << h) - 1

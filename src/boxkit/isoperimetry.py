@@ -16,18 +16,18 @@ vertices while n <= PROFILE_MAX_VERTICES // 2, leaving H empty, and
 the first n // 2 above that.  The subsets of each half share one
 layout: ordered by size, and lexicographically (as sorted member
 tuples) within each size, so that layer k is one contiguous slice.
-The layout follows the recursion
-L(lo, k) = ({lo} + L(lo + 1, k - 1)) ++ L(lo + 1, k), which _fill_layers
-follows in place one vertex at a time, with no sort and no gather;
-_layers names each position's subset by its mask, and _half_layout
-keeps one layout per half size, shared by every split-half scan and the
+_layers builds it with one lexsort of the masks, and _half_layout keeps
+one layout per half size, shared by every split-half scan and the
 supergraph DP.
 
 A set X is the pair (X & L, X & H), so a union over X is the OR of two
-half-table entries, and _least_unions scans the (high layer a x low
-layer k - a) blocks of the sizes k it is asked for, _CHUNK_ENTRIES at a
-time; the supergraph DP keeps its table in the same (high half x low
-half) shape and folds the least closed unions of every size as it goes.
+half-table entries.  Both the profile scan (_least_unions) and the
+supergraph DP lay the union sizes of one high layer a out as (low
+subset x high subset), so that the sets of size k = a + b with b low
+members are one contiguous run, and _fold_blocks folds those runs into
+the least union of each size with its smallest witness.  The DP folds
+every row layer of its table that way; _least_unions scans the blocks
+of the sizes it is asked for, _CHUNK_ENTRIES at a time.
 Which scan serves which sizes:
 
   every k = 1 .. n-1 (LeastUnions.every: the strong boundary bound):
@@ -55,53 +55,34 @@ import numpy as np
 from .errors import PROFILE_MAX_VERTICES, check_subset_budget, check_vertex_cap
 
 
-def _layer_starts(n: int) -> tuple[int, ...]:
-    """Layer k of the size-ordered layout is [starts[k], starts[k+1])."""
-    starts = [0]
-    for k in range(n + 1):
-        starts.append(starts[-1] + comb(n, k))
-    return tuple(starts)
-
-
-def _fill_layers(first: np.generic, rows) -> np.ndarray:
-    """table[X] = first | rows[x] | ... over x in X, for every subset X
-    of range(len(rows)), in the size-then-lex layout."""
-    n = len(rows)
-    table = np.empty(1 << n, dtype=first.dtype)
-    table[0] = first
-    for lo in range(n - 1, -1, -1):
-        # The new layer k is (lo + old layer k-1) ++ (old layer k), so each
-        # old layer j at [a, b) moves to [2a, a+b) and is followed by
-        # itself with lo added.  Going from the last layer down, no write
-        # lands on an old layer not yet moved.
-        row = first.dtype.type(rows[lo])
-        for a, b in reversed(tuple(pairwise(_layer_starts(n - lo - 1)))):
-            np.bitwise_or(table[a:b], row, out=table[a + b:2 * b])
-            table[2 * a:a + b] = table[a:b]  # numpy copies overlaps safely
-    table.flags.writeable = False
-    return table
-
-
 def _layers(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """The mask of every subset of range(n), by size and then
-    lexicographically, with the layer starts (int32 masks)."""
-    masks = _fill_layers(np.int32(0), tuple(1 << v for v in range(n)))
-    return masks, _layer_starts(n)
+    lexicographically, with the layer starts (read-only int32 masks).
+
+    Lexicographic order of sorted member tuples is descending order of
+    the bit-reversed masks: the smallest vertex in exactly one of two
+    sets is the highest bit where their reversals differ."""
+    masks = np.arange(1 << n, dtype=np.int32)
+    reversed_masks = np.zeros_like(masks)
+    for v in range(n):
+        reversed_masks |= (masks >> v & 1) << n - 1 - v
+    masks = masks[np.lexsort((-reversed_masks, np.bitwise_count(masks)))]
+    masks.flags.writeable = False
+    return masks, tuple(accumulate((comb(n, k) for k in range(n + 1)), initial=0))
 
 
 class _HalfLayout(NamedTuple):
     """The subsets of one half of the vertices in the _layers order.
 
     masks[i] is the i-th subset, as a mask over the half's own vertices,
-    position[mask] its index in the layout, and preds[k][j, i] the index
-    of X minus its j-th smallest member, for the i-th subset X of layer k.
-    mask_list and position_list hold the same as Python ints, for the
-    scalar reads of witnesses and of the supergraph DP's walk back.
+    and preds[k][j, i] the index of X minus its j-th smallest member, for
+    the i-th subset X of layer k.  mask_list holds the masks as Python
+    ints, and position_list[mask] the index of each mask, for the scalar
+    reads of witnesses and of the supergraph DP's walk back.
     """
 
     starts: tuple[int, ...]
     masks: np.ndarray
-    position: np.ndarray
     preds: tuple[np.ndarray, ...]
     mask_list: tuple[int, ...]
     position_list: tuple[int, ...]
@@ -120,8 +101,8 @@ def _half_layout(m: int) -> _HalfLayout:
         layer = masks[a:b]
         _, member = np.nonzero(layer[:, None] >> np.arange(m) & 1)
         preds.append(position[layer ^ 1 << member.reshape(b - a, k).T])
-    return _HalfLayout(starts, masks, position, tuple(preds),
-                       tuple(masks.tolist()), tuple(position.tolist()))
+    return _HalfLayout(starts, masks, tuple(preds), tuple(masks.tolist()),
+                       tuple(position.tolist()))
 
 
 def _low_size(n: int) -> int:
@@ -155,8 +136,8 @@ def _half_tables(rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Entries of the largest temporary a scan allocates: the split-half
-# scans take a block of high-half rows at a time, and _least_union its
-# last stage a chunk of sets at a time.
+# scans take a chunk of low-half subsets against one high layer at a
+# time, and _least_union its last stage a chunk of sets at a time.
 _CHUNK_ENTRIES = 1 << 18
 
 
@@ -174,6 +155,43 @@ def _improves(held: tuple[int, int] | None, value: int, mask: int) -> bool:
     return held is None or value < held[0] or value == held[0] and _precedes(mask, held[1])
 
 
+def _fold_blocks(best: dict[int, tuple[int, int]], unions: np.ndarray, a: int, c0: int,
+                 low: _HalfLayout, high: _HalfLayout) -> None:
+    """Fold the union sizes of one row layer, or one chunk of it, into
+    best[k]: the least size over the sets X of size k seen so far, with
+    its lexicographically smallest witness.
+
+    unions is C-contiguous, one row per low subset and one column per
+    subset of high layer a: unions[i, j] belongs to XL + XH, with XL the
+    subset c0 + i of the low layout and XH the j-th subset of the layer.
+    So the rows of each low layer b are one contiguous run, the part of
+    the (a, b) block of the sets of size a + b that unions holds.  Every
+    low vertex precedes every high one, so within a block lexicographic
+    order is the order of XL, then of XH, which is the run's order: the
+    smallest witness in a run is its first minimum.  Each run is reduced
+    to its minimum with one reduceat, and its witness is sought only
+    when the minimum, reached by the run's first set, would improve on
+    the best so far; witnesses from different runs are compared only on
+    ties.
+    """
+    if not len(unions):
+        return
+    h = len(low.starts) - 2
+    s0, width = high.starts[a], unions.shape[1]
+    c1 = c0 + len(unions)
+    b0 = bisect_right(low.starts, c0) - 1
+    cuts = [c0, *low.starts[b0 + 1:bisect_left(low.starts, c1)], c1]
+    flat = unions.reshape(-1)
+    minima = np.minimum.reduceat(flat, [(c - c0) * width for c in cuts[:-1]]).tolist()
+    for b, (value, d0, d1) in enumerate(zip(minima, cuts, cuts[1:]), b0):
+        held = best.get(a + b)
+        if _improves(held, value, low.mask_list[d0] | high.mask_list[s0] << h):
+            i, j = divmod(int(flat[(d0 - c0) * width:(d1 - c0) * width].argmin()), width)
+            mask = low.mask_list[d0 + i] | high.mask_list[s0 + j] << h
+            if _improves(held, value, mask):
+                best[a + b] = (value, mask)
+
+
 def _least_unions(rows, sizes: range, halves) -> list[tuple[int, int]]:
     """For each k in sizes, the least |rows[x1] | ... | rows[xk]| over
     the sets X of size k, with its lexicographically smallest witness.
@@ -181,30 +199,21 @@ def _least_unions(rows, sizes: range, halves) -> list[tuple[int, int]]:
     Each union is the OR of one low-half and one high-half table entry
     (halves, as _half_tables(rows) builds them).  Against high layer
     a only the low layers b = k - a of the wanted sizes are scanned, as
-    one span of columns.  The unions are computed a chunk of high rows
-    at a time, as a (high rows x low subsets) array of popcounts of at
-    most _CHUNK_ENTRIES entries, and reduced over the rows to one
-    minimum per low subset.
-
-    X = XL + XH with |XH| = a and |XL| = b, and every low vertex
-    precedes every high one, so within one (a, b) block lexicographic
-    order is the order of XL, then of XH.  The block's smallest witness
-    is thus the first low subset whose column reaches the block's
-    minimum, with the first row of that column that does.  A witness is
-    sought only in a block that improves on the best so far with its
-    first set; witnesses from different blocks or chunks are compared
-    only on ties.
+    one span of low subsets.  The span is taken a chunk of low subsets
+    at a time, each against the whole high layer, as a (low subsets x
+    high subsets) array of popcounts of at most _CHUNK_ENTRIES entries,
+    which _fold_blocks folds into the least unions.
     """
     n = len(rows)
     if not sizes:
         return []
     h = _low_size(n)
     low, high = _split_layouts(n)
-    low_masks, high_masks = low.mask_list, high.mask_list
     low_table, high_table = halves
     # one chunk's buffers, as the whole-profile scan fills them, whatever
-    # the sizes: their pages are only touched as far as a block needs
-    size = min(len(low_table) * len(high_table), max(_CHUNK_ENTRIES, len(low_table)))
+    # the sizes: their pages are only touched as far as a chunk needs.  A
+    # chunk holds at least one low subset against a whole high layer.
+    size = min(len(low_table) * len(high_table), max(_CHUNK_ENTRIES, len(high_table)))
     words = np.empty(size, dtype=np.uint32)
     counts = np.empty(size, dtype=np.uint8)
     best: dict[int, tuple[int, int]] = {}
@@ -212,26 +221,14 @@ def _least_unions(rows, sizes: range, halves) -> list[tuple[int, int]]:
         b0, b1 = max(0, sizes[0] - a), min(h, sizes[-1] - a)
         if b0 > b1:
             continue
-        c0, c1 = low.starts[b0], low.starts[b1 + 1]
-        cols = c1 - c0
-        step = max(1, _CHUNK_ENTRIES // cols)
-        offsets = [d0 - c0 for d0 in low.starts[b0:b1 + 1]]
-        for s0 in range(r0, r1, step):
-            width = min(step, r1 - s0)
-            block = words[:cols * width].reshape(width, cols)
-            np.bitwise_or(high_table[s0:s0 + width, None], low_table[c0:c1], out=block)
-            block = np.bitwise_count(block, out=counts[:cols * width].reshape(width, cols))
-            columns = block.min(axis=0)  # per low subset, over the rows
-            minima = np.minimum.reduceat(columns, offsets).tolist()
-            for b, value in enumerate(minima, b0):
-                held = best.get(a + b)
-                d0 = low.starts[b]
-                if _improves(held, value, low_masks[d0] | high_masks[s0] << h):
-                    col = d0 + int(columns[d0 - c0:low.starts[b + 1] - c0].argmin())
-                    row = s0 + int(block[:, col - c0].argmin())
-                    mask = low_masks[col] | high_masks[row] << h
-                    if _improves(held, value, mask):
-                        best[a + b] = (value, mask)
+        width, end = r1 - r0, low.starts[b1 + 1]
+        step = max(1, _CHUNK_ENTRIES // width)
+        for c0 in range(low.starts[b0], end, step):
+            c1 = min(end, c0 + step)
+            block = words[:(c1 - c0) * width].reshape(c1 - c0, width)
+            np.bitwise_or(low_table[c0:c1, None], high_table[r0:r1], out=block)
+            block = np.bitwise_count(block, out=counts[:block.size].reshape(block.shape))
+            _fold_blocks(best, block, a, c0, low, high)
     return [best[k] for k in sizes]
 
 

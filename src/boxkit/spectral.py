@@ -22,6 +22,7 @@ import numpy as np
 
 from .graphs import Graph, degree_summary, is_complete, is_connected
 from .reports import BoundReport, bound_report, not_applicable
+from .tables import GraphTables, tables_of
 
 SPECTRAL = "spectral"
 
@@ -87,18 +88,21 @@ def _growth_factor(ratio: Fraction) -> Fraction:
     return Fraction(float(ratio) / math.log1p(float(ratio)))
 
 
-def spectral_bound(g: Graph) -> BoundReport:
+def spectral_bound(g: Graph | GraphTables) -> BoundReport:
     """The display formula above; connected regular non-complete only."""
-    summary = degree_summary(g)
+    tables = tables_of(g)
+    g = tables.graph
+    summary = tables.degrees
     if is_complete(g):
         return not_applicable(SPECTRAL, "complete_graph")
     if not summary.is_regular:
         return not_applicable(SPECTRAL, "not_regular")
     if not is_connected(g):
         return not_applicable(SPECTRAL, "disconnected")
-    spectrum = adjacency_spectrum(g)
-    lam = spectrum.second_largest_abs
-    if lam is None or lam < EIGENVALUE_ZERO_TOL:
+    # as adjacency_spectrum takes it; a connected non-complete graph has n >= 3
+    spectrum = symmetric_eigenvalues(adjacency_matrix(g))
+    lam = max(abs(spectrum.eigenvalues[1]), abs(spectrum.eigenvalues[-1]))
+    if lam < EIGENVALUE_ZERO_TOL:
         return not_applicable(SPECTRAL, "second_eigenvalue_zero")
     k = summary.min_degree
     ratio = Fraction(k * k) / Fraction(lam) ** 2

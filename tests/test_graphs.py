@@ -8,7 +8,6 @@ from boxkit.graphs import (
     Graph,
     bipartite_from_edges,
     bipartition,
-    closed_neighborhood,
     complement,
     complete_graph,
     cycle,
@@ -92,7 +91,6 @@ def test_neighborhood_operators_match_set_definitions(gx):
     xs = set(members(x))
     open_ref = {v for v in range(g.n) if any(g.has_edge(v, u) for u in xs)}
     assert open_neighborhood(g, x) == mask_of(open_ref)
-    assert closed_neighborhood(g, x) == mask_of(open_ref | xs)
     assert vertex_boundary(g, x) == mask_of(open_ref - xs)
     strong_ref = {v for v in range(g.n)
                   if v not in xs and all(g.has_edge(v, u) for u in xs)}

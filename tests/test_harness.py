@@ -208,19 +208,19 @@ def _record_subset_tables(monkeypatch, module):
     """Record the entry count of every subset table built: the half
     layouts' mask tables and the half OR tables that module builds."""
     sizes = []
-    real_fill = isoperimetry._fill_layers
+    real_layers = isoperimetry._layers
     real_half = isoperimetry._half_tables
 
-    def fill(first, rows):
-        sizes.append(1 << len(rows))
-        return real_fill(first, rows)
+    def layers(n):
+        sizes.append(1 << n)
+        return real_layers(n)
 
     def half(rows):
         tables = real_half(rows)
         sizes.extend(len(table) for table in tables)
         return tables
 
-    monkeypatch.setattr(isoperimetry, "_fill_layers", fill)
+    monkeypatch.setattr(isoperimetry, "_layers", layers)
     monkeypatch.setattr(module, "_half_tables", half)
     isoperimetry._half_layout.cache_clear()
     return sizes

@@ -35,7 +35,6 @@ from boxkit.graphs import (
     BipartiteGraph,
     Graph,
     bipartition,
-    closed_neighborhood,
     complement,
     complete_graph,
     empty_graph,
@@ -54,13 +53,7 @@ from boxkit.intervals import (
     intersect_realized,
     min_interval_supergraph,
 )
-from boxkit.isoperimetry import (
-    LeastUnions,
-    _fill_layers,
-    _layer_starts,
-    _layers,
-    _least_union,
-)
+from boxkit.isoperimetry import LeastUnions, _layers, _least_union
 from boxkit.spectral import adjacency_matrix
 
 from .strategies import boundary_profiles, closed_unions
@@ -110,10 +103,10 @@ def _layered_min_supergraph(g):
     n = g.n
     unfilled = np.iinfo(np.int16).max
     vertex_bits = tuple(1 << (n - 1 - v) for v in range(n))
-    addresses = _fill_layers(np.int32(0), vertex_bits)
-    starts = _layer_starts(n)
+    addresses = _layout_table(vertex_bits)
+    starts = _layers(n)[1]
     closed = tuple(row | 1 << v for v, row in enumerate(g.rows))
-    sizes = np.bitwise_count(_fill_layers(np.uint32(0), closed)).astype(np.int16)
+    sizes = np.bitwise_count(_layout_table(closed)).astype(np.int16)
     f = np.full(1 << n, unfilled, dtype=np.int16)
     f[0] = 0
     for k, (a, b) in enumerate(pairwise(starts)):
@@ -147,7 +140,7 @@ def _loop_min_reach(co, pool, target_side, j):
 
 def _loop_cross_expansion(g, pool, target_side, t):
     """beta_t by scanning every t-subset of the pool."""
-    covered = min(popcount(closed_neighborhood(g, mask_of(combo)) & target_side)
+    covered = min(popcount((mask_of(combo) | open_neighborhood(g, mask_of(combo))) & target_side)
                   for combo in combinations(pool, t))
     return Fraction(covered, popcount(target_side))
 
@@ -168,6 +161,12 @@ def _mask_order_table(rows, n, use_and):
         else:
             table[half::step] = table[0::step] | row
     return table
+
+
+def _layout_table(rows):
+    """OR of rows[x] over x in X for every subset X of range(len(rows)),
+    by plain doubling in mask order, gathered into the _layers order."""
+    return _mask_order_table(rows, len(rows), use_and=False)[_layers(len(rows))[0]]
 
 
 def _scan_profiles(g):
@@ -200,9 +199,9 @@ def _full_table_profiles(g):
     n = g.n
     masks, starts = _layers(n)
     closed = tuple(row | 1 << v for v, row in enumerate(g.rows))
-    union = np.bitwise_count(_fill_layers(np.uint32(0), closed))
+    union = np.bitwise_count(_layout_table(closed))
     co_rows = tuple(((1 << n) - 1) & ~row for row in g.rows)
-    strong = n - np.bitwise_count(_fill_layers(np.uint32(0), co_rows)).astype(np.int64)
+    strong = n - np.bitwise_count(_layout_table(co_rows)).astype(np.int64)
     bv, cv, bw, cw = [], [], [], []
     for k in range(1, n):
         a, b = starts[k], starts[k + 1]
@@ -323,7 +322,7 @@ def test_supergraph_dp_dtype_holds_every_value_below_its_maximum():
     assert _table_dtype(23) == np.uint8 and _table_dtype(24) == np.uint16
 
 
-@pytest.mark.parametrize("n", range(11))
+@pytest.mark.parametrize("n", range(15))
 def test_layers_follow_combinations_order(n):
     addresses, starts = _layers(n)
     expected = [mask_of(c) for k in range(n + 1) for c in combinations(range(n), k)]
@@ -494,10 +493,10 @@ def test_split_profile_witnesses_on_empty_and_complete_graphs(n):
 
 @pytest.mark.parametrize("entries", [1, 3 << 7, 100])
 def test_split_profile_matches_full_tables_across_row_chunks(monkeypatch, entries):
-    # up to n = 14 there is one high row, so the chunks are exercised from
-    # n = 15: 1 puts one high row in each chunk, 3 << 7 three rows of a
-    # whole-profile scan at n = 15 and one at n = 16 and 17, 100 a number
-    # that divides no layer
+    # each chunk holds some low subsets against one whole high layer: 1
+    # puts one low subset in each chunk, 3 << 7 all 128 low subsets at
+    # n = 15 against the empty high set and as few as three against the
+    # widest high layer at n = 17, 100 a number that divides no layer
     monkeypatch.setattr(isoperimetry, "_CHUNK_ENTRIES", entries)
     for n in (15, 16, 17):
         for g in [empty_graph(n), complete_graph(n)] + _profile_drawn(n):
@@ -534,8 +533,8 @@ def test_split_halves_fit_the_layout_cache():
 
 
 def test_profile_tables_fit_their_dtypes():
-    # uint32 rows hold every vertex up to the cap, and one chunk holds at
-    # least one whole row of low-half subsets
+    # uint32 rows hold every vertex up to the cap, and one chunk holds
+    # every subset of a half, so also one low subset against any high layer
     assert PROFILE_MAX_VERTICES <= 32
     assert 1 << PROFILE_MAX_VERTICES // 2 <= isoperimetry._CHUNK_ENTRIES
 
@@ -658,14 +657,36 @@ def test_every_scans_once_and_serves_later_queries(monkeypatch):
 
 def test_alternating_scans_build_no_layout_twice(monkeypatch):
     # 18 rows split 9 + 9 and 15 rows split 7 + 8: three half sizes
-    fills = _count_calls(monkeypatch, isoperimetry, "_fill_layers")
+    fills = _count_calls(monkeypatch, isoperimetry, "_layers")
     isoperimetry._half_layout.cache_clear()
     long_rows, short_rows = _tied_rows(18, 18, 1), _tied_rows(15, 15, 2)
     for _ in range(3):
         for rows in (long_rows, short_rows):
             for k in (1, 2, 5):
                 LeastUnions(rows).least(k)
-    assert sorted(len(rows) for _, rows in fills) == [7, 8, 9]
+    assert sorted(n for n, in fills) == [7, 8, 9]
+
+
+def test_one_fold_serves_the_dp_and_the_profile_scan(monkeypatch):
+    # n = 18 splits 9 + 9 into ten row layers.  The DP folds each layer
+    # once; the every-size scan folds each chunk once, one chunk per
+    # layer at the default chunk size and many with 2^10-entry chunks.
+    g = NAMED_18[0]
+    dp_folds = _count_calls(monkeypatch, intervals, "_fold_blocks")
+    scan_folds = _count_calls(monkeypatch, isoperimetry, "_fold_blocks")
+    closed_unions = min_interval_supergraph(g).closed_unions
+    assert len(dp_folds) == 10 and scan_folds == []
+    assert LeastUnions(_closed_rows(g)).every() == closed_unions
+    assert len(scan_folds) == 10 and len(dp_folds) == 10
+    monkeypatch.setattr(isoperimetry, "_CHUNK_ENTRIES", 1 << 10)
+    scan_folds.clear()
+    assert LeastUnions(_closed_rows(g)).every() == closed_unions
+    # high layer a has C(9, a) subsets; the empty set and the full set
+    # lie outside the scanned sizes
+    spans = [(1 << 9) - (a in (0, 9)) for a in range(10)]
+    steps = [(1 << 10) // comb(9, a) for a in range(10)]
+    assert len(scan_folds) == sum(-(-span // step) for span, step in zip(spans, steps))
+    assert all(unions.size <= 1 << 10 for _, unions, *_ in scan_folds)
 
 
 @pytest.mark.parametrize("g", NAMED_18 + [complement_cycle(9), empty_graph(5)],
