@@ -176,58 +176,37 @@ def bipartite_universal_bound(gb: BipartiteGraph) -> BoundReport:
                         {"u_b": u_b, "min_degree_a": delta_a})
 
 
-def _strip_universal(g: Graph) -> tuple[Graph, tuple[int, ...]] | None:
-    """g without its universal vertices, with the kept vertices' labels:
-    g itself when it has none, None when every vertex is universal."""
-    universal = universal_vertices(g)
-    if universal == 0:
-        return g, tuple(range(g.n))
-    keep = g.vertices & ~universal
-    if keep == 0:
-        return None
-    return induced_subgraph(g, keep), members(keep)
-
-
 def best_expansion_bound(g: Graph | GraphTables, t_max: int = 2) -> BoundReport:
     """Best scan bound over canonical (s1, s2) choices and t <= t_max.
 
-    Choices: both sides equal to the graph minus its universal vertices,
-    and for bipartite graphs each side against the other (dominating
-    vertices dropped from the subset side).  Universal vertices never
-    lower boxicity, so bounds for the stripped induced subgraph apply to
-    the original graph.  A choice on all of g's vertices reads g's own
-    tables; any other gets tables of its induced subgraph.
+    The choices, as vertex sets of g: both sides equal to the core, the
+    vertices that are not universal; then, for bipartite graphs, each
+    side against the other with the vertices dominating the subset side
+    dropped.  Boxicity never rises on an induced subgraph, so a bound for
+    G[s1 | s2] applies to g.  Every choice runs through one path: when
+    s1 | s2 is all of g it reads g's own tables, and otherwise the tables
+    of G[s1 | s2], both sides relabelled through members(s1 | s2), which
+    the certificate keeps as vertex_labels.
     """
     if t_max < 1:
         raise ValueError("t_max must be positive")
     tables = tables_of(g)
     g = tables.graph
-    candidates: list[tuple[GraphTables, int, int, tuple[int, ...]]] = []
-    stripped = _strip_universal(g)
-    if stripped is not None:
-        core, labels = stripped
-        if not is_complete(core):
-            core_tables = tables if core is g else GraphTables(core)
-            candidates.append((core_tables, core.vertices, core.vertices, labels))
-    sides = bipartition(g)
-    if sides is not None:
-        for s1, s2 in (sides, sides[::-1]):
-            s2_kept = s2 & ~_dominating(g, s1, s2)
-            if s2_kept == 0:
-                continue
-            keep = s1 | s2_kept
-            if keep == g.vertices:
-                candidates.append((tables, s1, s2_kept, tuple(range(g.n))))
-                continue
-            labels = members(keep)
-            sub = induced_subgraph(g, keep)
-            relabel = {v: i for i, v in enumerate(labels)}
-            sub_s1 = mask_of(relabel[v] for v in bits(s1))
-            sub_s2 = mask_of(relabel[v] for v in bits(s2_kept))
-            candidates.append((GraphTables(sub), sub_s1, sub_s2, labels))
+    core = g.vertices & ~universal_vertices(g)
+    choices = [(core, core)]
+    if (sides := bipartition(g)) is not None:
+        choices += [(s1, s2 & ~_dominating(g, s1, s2)) for s1, s2 in (sides, sides[::-1])]
 
     best: ExpansionCertificate | None = None
-    for sub, s1, s2, labels in candidates:
+    for s1, s2 in choices:
+        if not (s1 and s2):
+            continue
+        labels = members(s1 | s2)
+        sub = tables
+        if s1 | s2 != g.vertices:
+            sub = GraphTables(induced_subgraph(g, s1 | s2))
+            s1, s2 = (mask_of(i for i, v in enumerate(labels) if side >> v & 1)
+                      for side in (s1, s2))
         for t in range(1, min(t_max, popcount(s1)) + 1):
             _, cert = certify_expansion_bound(sub, s1, s2, t)
             if best is None or cert.bound > best.bound:

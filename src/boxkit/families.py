@@ -63,10 +63,6 @@ class RandomModelSpec:
         if value is None or not valid(value):
             raise ValueError(f"the {self.model} model needs {need}")
 
-    def parameter(self) -> str:
-        """The swept parameter as text, for result rows."""
-        return str(getattr(self, RANDOM_MODELS[self.model].parameter))
-
 
 def _sample_gnp(rng: Xoshiro256StarStar, n: int, p: Fraction) -> Graph:
     hits = rng.bernoulli_many(n * (n - 1) // 2, p.numerator, p.denominator)
@@ -215,6 +211,38 @@ def _offset(v: int, n: int) -> Fraction:
     return Fraction(v + 1, 2 * (n + 2))
 
 
+def _widened(spots: list[tuple[int, int]]) -> IntervalRep:
+    """Vertex v on spots[v], each endpoint widened by _offset(v, n), so
+    that touching spots overlap and no two endpoints coincide."""
+    n = len(spots)
+    return IntervalRep(tuple((lo - _offset(v, n), hi + _offset(v, n))
+                             for v, (lo, hi) in enumerate(spots)))
+
+
+def _block_family(k: int, l: int, matched: bool,
+                  outside: tuple[int, int]) -> tuple[BipartiteGraph, list[IntervalRep]]:
+    """The block structure both tight families share.
+
+    Sides A and B hold l blocks of k vertices each, and A-block i is
+    adjacent to B-block j exactly when (i == j) == matched.
+    Representation i puts A-block i on [0, 1], B-block i on [2, 3] and
+    every other vertex on outside.
+    """
+    if k < 1 or l < 1:
+        raise ValueError("k and l must be positive")
+    half = k * l
+    check_vertex_count(2 * half)
+    gb = bipartite_from_edges(half, half, [
+        (a, b) for a in range(half) for b in range(half) if (a // k == b // k) == matched])
+    reps = []
+    for i in range(l):
+        spots = [outside] * (2 * half)
+        spots[i * k:(i + 1) * k] = [(0, 1)] * k
+        spots[half + i * k:half + (i + 1) * k] = [(2, 3)] * k
+        reps.append(_widened(spots))
+    return gb, reps
+
+
 def cobipartite_tight_family(k: int, l: int) -> TightFamilyCertificate:
     """Complete graph on 2kl vertices minus l disjoint k-by-k bicliques.
 
@@ -224,45 +252,11 @@ def cobipartite_tight_family(k: int, l: int) -> TightFamilyCertificate:
     straddles the middle.  Boxicity is exactly l once n / 2k = l is
     certified below it.
     """
-    if k < 1 or l < 1:
-        raise ValueError("k and l must be positive")
-    n = 2 * k * l
-    check_vertex_count(n)
-    half = k * l
-
-    def a_block(v: int) -> int | None:
-        return v // k if v < half else None
-
-    def b_block(v: int) -> int | None:
-        return (v - half) // k if v >= half else None
-
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            au, bu = a_block(u), b_block(u)
-            av, bv = a_block(v), b_block(v)
-            crossing = (au is not None and bv is not None and au == bv) or (
-                bu is not None and av is not None and bu == av)
-            if not crossing:
-                edges.append((u, v))
-    g = from_edges(n, edges)
-
-    reps = []
-    for i in range(l):
-        intervals = []
-        for v in range(n):
-            d = _offset(v, n)
-            if a_block(v) == i:
-                intervals.append((Fraction(0) - d, Fraction(1) + d))
-            elif b_block(v) == i:
-                intervals.append((Fraction(2) - d, Fraction(3) + d))
-            else:
-                intervals.append((Fraction(1) - d, Fraction(2) + d))
-        reps.append(IntervalRep(tuple(intervals)))
+    matching, reps = _block_family(k, l, True, (1, 2))
     return TightFamilyCertificate(
-        graph=g,
+        graph=complement(matching.to_graph()),
         reps=tuple(reps),
-        claimed_lower=Fraction(n, 2 * k),
+        claimed_lower=Fraction(l),
         claimed_upper=l,
     )
 
@@ -272,48 +266,19 @@ def bipartite_tight_family(k: int, l: int) -> TightFamilyCertificate:
     adjacent to every B-block except block i.
 
     l + 2 interval graphs realize it: one per block pair as in the
-    co-bipartite family, one spreading side A into disjoint intervals to
-    cut all A-A pairs, and one spreading side B.  Boxicity sits between
-    the certified l/2 and l + 2.
+    co-bipartite family, with everything else spanning both, one
+    spreading side A into disjoint intervals to cut all A-A pairs, and
+    one spreading side B.  Boxicity sits between the certified l/2 and
+    l + 2.
     """
-    if k < 1 or l < 1:
-        raise ValueError("k and l must be positive")
-    half = k * l
-    n = 2 * half
-    check_vertex_count(n)
-    edges = []
-    for a in range(half):
-        for b in range(half):
-            if a // k != b // k:
-                edges.append((a, b))
-    gb = bipartite_from_edges(half, half, edges)
-    g = gb.to_graph()
-
-    reps = []
-    for i in range(l):
-        intervals = []
-        for v in range(n):
-            d = _offset(v, n)
-            if v < half and v // k == i:
-                intervals.append((Fraction(0) - d, Fraction(1) + d))
-            elif v >= half and (v - half) // k == i:
-                intervals.append((Fraction(2) - d, Fraction(3) + d))
-            else:
-                intervals.append((Fraction(-1) - d, Fraction(4) + d))
-        reps.append(IntervalRep(tuple(intervals)))
-    for spread_side in (0, 1):
-        intervals = []
-        for v in range(n):
-            d = _offset(v, n)
-            in_side = v < half if spread_side == 0 else v >= half
-            if in_side:
-                j = v if spread_side == 0 else v - half
-                intervals.append((Fraction(2 * j) - d, Fraction(2 * j + 1) + d))
-            else:
-                intervals.append((Fraction(-1) - d, Fraction(2 * half) + d))
-        reps.append(IntervalRep(tuple(intervals)))
+    gb, reps = _block_family(k, l, False, (-1, 4))
+    half = gb.na
+    for side in (0, 1):
+        spots = [(-1, 2 * half)] * (2 * half)
+        spots[side * half:(side + 1) * half] = [(2 * j, 2 * j + 1) for j in range(half)]
+        reps.append(_widened(spots))
     return TightFamilyCertificate(
-        graph=g,
+        graph=gb.to_graph(),
         reps=tuple(reps),
         claimed_lower=Fraction(l, 2),
         claimed_upper=l + 2,
@@ -326,6 +291,7 @@ def complete_multipartite(part_size: int, parts: int) -> Graph:
     if part_size < 1 or parts < 2:
         raise ValueError("need part_size >= 1 and parts >= 2")
     n = part_size * parts
+    check_vertex_count(n)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if u // part_size != v // part_size]
     return from_edges(n, edges)

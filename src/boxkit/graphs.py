@@ -97,10 +97,12 @@ def from_pair_mask(n: int, mask: int) -> Graph:
 
 
 def empty_graph(n: int) -> Graph:
+    check_vertex_count(n)
     return Graph(n, (0,) * n)
 
 
 def complete_graph(n: int) -> Graph:
+    check_vertex_count(n)
     full = full_mask(n)
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
@@ -108,10 +110,12 @@ def complete_graph(n: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
+    check_vertex_count(n)
     return from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def path(n: int) -> Graph:
+    check_vertex_count(n)
     return from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 

@@ -216,7 +216,11 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
     layer's (column x row) array of |N[S]|, less the empty and the full
     set, goes to _fold_blocks, the fold the profile scan (_least_unions)
     runs on its chunks.  So closed_unions equals LeastUnions.every on
-    the closed rows, witnesses included.
+    the closed rows, witnesses included.  The fold runs on every call,
+    also when min_supergraph is the only bound asked for: closed_unions
+    is part of the result, and skipping it would take a second path
+    through the DP to save about a tenth of its time (0.2-0.4 ms of a
+    2.0-2.2 ms gnp(18, 1/2) call on a 2-core x86_64 host).
 
     No choice table is kept.  The ordering is walked back from the
     table: from the full set, each step removes the smallest v in S

@@ -7,13 +7,14 @@ from itertools import combinations
 
 import pytest
 
-from boxkit import families
+from boxkit import families, graphs
 from boxkit.bitset import popcount
 from boxkit.edgelist import format_edge_list
 from boxkit.errors import BudgetExceededError
 from boxkit.families import (
     ENUMERATION_MAX_VERTICES,
     MODELS,
+    RANDOM_MODELS,
     RandomModelSpec,
     TightFamilyCertificate,
     bipartite_tight_family,
@@ -29,8 +30,11 @@ from boxkit.graphs import (
     Graph,
     bipartite_from_edges,
     complete_graph,
+    cycle,
     degree_summary,
+    empty_graph,
     from_edges,
+    path,
 )
 from boxkit.rng import Xoshiro256StarStar, derive_seed
 
@@ -64,12 +68,6 @@ def test_spec_validation():
     for model in MODELS:
         with pytest.raises(ValueError):
             RandomModelSpec(model, 6, 0)
-
-
-def test_spec_parameter_text():
-    assert RandomModelSpec("gnp", 8, 0, p=Fraction(1, 2)).parameter() == "1/2"
-    assert RandomModelSpec("gnm", 8, 0, m=7).parameter() == "7"
-    assert RandomModelSpec("regular", 8, 0, k=3).parameter() == "3"
 
 
 # sha256 of each model's edge list at seed 3, pinned when the samplers
@@ -120,7 +118,7 @@ LARGE_SAMPLE_DIGESTS = {
 
 
 @pytest.mark.parametrize("spec", list(LARGE_SAMPLE_DIGESTS),
-                         ids=lambda s: f"{s.model}-{s.n}-{s.parameter()}")
+                         ids=lambda s: f"{s.model}-{s.n}-{getattr(s, RANDOM_MODELS[s.model].parameter)}")
 def test_large_samples_are_pinned(spec):
     assert _edge_list_digest(sample(spec)) == LARGE_SAMPLE_DIGESTS[spec]
 
@@ -347,6 +345,18 @@ def test_tampered_certificates_fail():
     assert not missing_rep.verify()
 
 
+# sha256 of repr(cobipartite_tight_family(k, l)) then
+# repr(bipartite_tight_family(k, l)) for k, then l, in 1..4: graphs,
+# representations, claimed bounds and bipartite sides, byte for byte.
+TIGHT_FAMILIES_DIGEST = "720576b7f443b41b364c608dbdc4221ed8641f4fce21bf24f8bab40c455a1cfa"
+
+
+def test_tight_families_are_pinned():
+    text = "".join(repr(cobipartite_tight_family(k, l)) + repr(bipartite_tight_family(k, l))
+                   for k in range(1, 5) for l in range(1, 5))
+    assert hashlib.sha256(text.encode()).hexdigest() == TIGHT_FAMILIES_DIGEST
+
+
 def test_tight_family_validation():
     with pytest.raises(ValueError):
         cobipartite_tight_family(0, 2)
@@ -355,6 +365,32 @@ def test_tight_family_validation():
 
 
 # --- named graphs -------------------------------------------------------------
+
+@pytest.mark.parametrize("build", [
+    lambda: complete_multipartite(3, 4), lambda: complete_graph(12),
+    lambda: empty_graph(12), lambda: cycle(12), lambda: path(12)],
+    ids=["complete_multipartite", "complete_graph", "empty_graph", "cycle", "path"])
+def test_constructors_check_the_vertex_count_before_building(monkeypatch, build):
+    # with the cap lowered to 10, a 12-vertex constructor must raise
+    # before it reaches the Graph it would build
+    def refuse(*args):
+        raise AssertionError("built before the vertex count was checked")
+
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 10)
+    for module, name in ((graphs, "Graph"), (graphs, "from_edges"), (families, "from_edges")):
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(ValueError, match="vertex count 12 outside 1..10"):
+        build()
+
+
+def test_constructors_keep_their_own_checks_first():
+    with pytest.raises(ValueError, match="need part_size >= 1 and parts >= 2"):
+        complete_multipartite(0, 10**8)
+    with pytest.raises(ValueError, match="cycle needs at least 3 vertices"):
+        cycle(0)
+    with pytest.raises(ValueError, match="vertex count 0 outside"):
+        path(0)
+
 
 def test_complete_multipartite_shapes():
     octa = complete_multipartite(2, 3)

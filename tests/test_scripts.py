@@ -1,5 +1,7 @@
 """Smoke tests for the scripts that import the package."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -95,3 +97,58 @@ def test_output_digests_match_the_determinism_contract_at_seed_2():
         "sweep": "307f24f96de4b6a64693acac8ef35e1d9fe365677fb9d955db74059f38818ff9",
         "soundness_table": "064ccb9cb7925a16158b2800bc98c04b3fd10bb1940c623f085896f4df8aea71",
     }
+
+
+# One workload's perfbench/run.py output, as bench_point.py reads it.
+RUN_OUTPUT = """\
+# == exact-oracle: seed 1, 2 s, trace 0
+# python 3.11.7, numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0 (1 thread), nproc 2, x86_64
+# rounds 69, graphs attempted 828, failed 0, timed samples 828, timed region 1.99 s
+# output sha256 ba3714e325d1adfa142e20ab671eaad9f0c860ef6b970de55d5b8d50d70625ae
+# checks: all passed
+# setup_s samples 0.1624 0.1798 0.1839
+ exact-oracle setup_s                                                0.171077 s
+ exact-oracle best_ceiling_sum                                             26 count
+{"correct": true, "attempted": 828, "failed": 0, "metrics": {"setup_s": \
+{"value": 0.1710768510000662, "unit": "s"}, "best_ceiling_sum": {"value": 26, "unit": "count"}}}
+"""
+
+
+def _bench_point():
+    spec = importlib.util.spec_from_file_location("bench_point", ROOT / "scripts" / "bench_point.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_point_reads_a_run_output():
+    assert _bench_point().parse_run_output(RUN_OUTPUT) == {
+        "host": "python 3.11.7, numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0 (1 thread), "
+                "nproc 2, x86_64",
+        "output_sha256": "ba3714e325d1adfa142e20ab671eaad9f0c860ef6b970de55d5b8d50d70625ae",
+        "result": {"correct": True, "attempted": 828, "failed": 0, "metrics": {
+            "setup_s": {"value": 0.1710768510000662, "unit": "s"},
+            "best_ceiling_sum": {"value": 26, "unit": "count"}}},
+    }
+
+
+@pytest.mark.parametrize("text", ["", "error: exact-oracle: worker exited 1\n",
+                                  RUN_OUTPUT.rsplit("\n{", 1)[0] + "\n",
+                                  RUN_OUTPUT + RUN_OUTPUT])
+def test_bench_point_rejects_other_output(text):
+    with pytest.raises(ValueError, match="not the output of one"):
+        _bench_point().parse_run_output(text)
+
+
+def test_bench_point_appends_to_the_trajectory(tmp_path):
+    bench_point = _bench_point()
+    path = tmp_path / "BENCH_sweep.json"
+    bench_point.append_point(path, {"commit": "a"})
+    bench_point.append_point(path, {"commit": "b"})
+    assert json.loads(path.read_text()) == [{"commit": "a"}, {"commit": "b"}]
+
+
+def test_bench_point_rejects_an_unknown_workload():
+    proc = _run_script("bench_point.py", "--workload", "nope")
+    assert proc.returncode == 2
+    assert "--workload" in proc.stderr

@@ -30,6 +30,7 @@ from boxkit.supergraph_bounds import (
     strong_boundary_bound,
 )
 from boxkit.families import (
+    RANDOM_MODELS,
     RandomModelSpec,
     bipartite_tight_family,
     cobipartite_tight_family,
@@ -278,7 +279,8 @@ def test_strong_boundary_certificate_replays_on_every_class(n):
                                   for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))]
                          + [RandomModelSpec("gnm", 10, seed, m=22) for seed in (1, 2)]
                          + [RandomModelSpec("regular", 10, seed, k=3) for seed in (1, 2)],
-                         ids=lambda spec: f"{spec.model}-{spec.parameter()}-seed{spec.seed}")
+                         ids=lambda spec: (f"{spec.model}-{getattr(spec, RANDOM_MODELS[spec.model].parameter)}"
+                                              f"-seed{spec.seed}"))
 def test_strong_boundary_certificate_replays_on_drawn_graphs(spec):
     _replay_strong_boundary(sample(spec))
 

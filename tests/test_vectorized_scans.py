@@ -22,7 +22,7 @@ from boxkit.errors import (
     BudgetExceededError,
     check_subset_budget,
 )
-from boxkit.expansion_bounds import co_expansion_table, cross_expansion
+from boxkit.expansion_bounds import best_expansion_bound, co_expansion_table, cross_expansion
 from boxkit.families import (
     RandomModelSpec,
     bipartite_tight_family,
@@ -42,8 +42,7 @@ from boxkit.graphs import (
     from_pair_mask,
     open_neighborhood,
 )
-from boxkit import intervals, isoperimetry, tables
-from boxkit.expansion_bounds import _strip_universal
+from boxkit import expansion_bounds, intervals, isoperimetry, tables
 from boxkit.harness import run_bounds
 from boxkit.intervals import (
     Ordering,
@@ -691,6 +690,27 @@ def test_one_fold_serves_the_dp_and_the_profile_scan(monkeypatch):
 
 @pytest.mark.parametrize("g", NAMED_18 + [complement_cycle(9), empty_graph(5)],
                          ids=lambda g: f"n{g.n}m{g.edge_count}")
-def test_strip_universal_keeps_a_graph_without_universal_vertices(g):
-    core, labels = _strip_universal(g)
-    assert core is g and labels == members(g.vertices)
+def test_a_side_choice_on_every_vertex_reads_the_own_tables(monkeypatch, g):
+    # none of these graphs has a universal vertex or a vertex dominating
+    # a bipartition side, so every side choice covers all of g
+    def refuse(*args):
+        raise AssertionError("induced_subgraph called")
+
+    monkeypatch.setattr(expansion_bounds, "induced_subgraph", refuse)
+    scans = _count_calls(monkeypatch, expansion_bounds, "certify_expansion_bound")
+    own = tables.GraphTables(g)
+    report = best_expansion_bound(own)
+    assert scans and all(args[0] is own for args in scans)
+    assert report.certificate.vertex_labels == members(g.vertices)
+
+
+def test_a_cone_is_scanned_on_its_relabelled_base():
+    # apex 0 over C5 on 1..5: the core choice runs on G[1..5], relabelled
+    cone = from_edges(6, [(1 + v, 1 + (v + 1) % 5) for v in range(5)]
+                      + [(0, v) for v in range(1, 6)])
+    assert repr(best_expansion_bound(cone)) == (
+        "BoundReport(name='expansion', applicable=True, value=Fraction(2, 1), ceiling=2, "
+        "reason=None, certificate=ExpansionCertificate(s1=31, s2=31, t=1, "
+        "beta_t=Fraction(3, 5), trace=(ScanEntry(b=1, t_star=Fraction(1, 1), m_value=2, "
+        "infeasible=True), ScanEntry(b=2, t_star=Fraction(-3, 1), m_value=None, "
+        "infeasible=False)), bound=2, vertex_labels=(1, 2, 3, 4, 5)), notes=())")
