@@ -117,8 +117,9 @@ LARGE_SAMPLE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("spec", list(LARGE_SAMPLE_DIGESTS),
-                         ids=lambda s: f"{s.model}-{s.n}-{getattr(s, RANDOM_MODELS[s.model].parameter)}")
+@pytest.mark.parametrize(
+    "spec", list(LARGE_SAMPLE_DIGESTS),
+    ids=lambda s: f"{s.model}-{s.n}-{getattr(s, RANDOM_MODELS[s.model].parameter)}")
 def test_large_samples_are_pinned(spec):
     assert _edge_list_digest(sample(spec)) == LARGE_SAMPLE_DIGESTS[spec]
 

@@ -115,7 +115,8 @@ RUN_OUTPUT = """\
 
 
 def _bench_point():
-    spec = importlib.util.spec_from_file_location("bench_point", ROOT / "scripts" / "bench_point.py")
+    spec = importlib.util.spec_from_file_location("bench_point",
+                                                  ROOT / "scripts" / "bench_point.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -279,8 +279,8 @@ def test_strong_boundary_certificate_replays_on_every_class(n):
                                   for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))]
                          + [RandomModelSpec("gnm", 10, seed, m=22) for seed in (1, 2)]
                          + [RandomModelSpec("regular", 10, seed, k=3) for seed in (1, 2)],
-                         ids=lambda spec: (f"{spec.model}-{getattr(spec, RANDOM_MODELS[spec.model].parameter)}"
-                                              f"-seed{spec.seed}"))
+                         ids=lambda s: f"{s.model}-{getattr(s, RANDOM_MODELS[s.model].parameter)}"
+                                       f"-seed{s.seed}")
 def test_strong_boundary_certificate_replays_on_drawn_graphs(spec):
     _replay_strong_boundary(sample(spec))
 
