@@ -8,24 +8,36 @@ min_supergraph`` (the supergraph DP; only up to SUPERGRAPH_MAX_VERTICES),
 to one thread.  Each run prints one line: n, methods, the process's
 wall time and its peak resident set size, read from the resource usage
 of that child alone.  A run that exits non-zero makes the script exit 1.
+When every run has ended, the script appends one point to
+``BENCH_dp_scale.json`` at the root of the checkout, as
+``scripts/bench_point.py`` does for the benchmark's workloads: the
+commit, the UTC date, the host line, and per run n, the methods, the
+wall time, the peak RSS and the exit code.
 
     PYTHONPATH=src python3 scripts/dp_scale.py [--min-n 18] [--max-n 28]
 """
 
 import argparse
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 import time
+from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
+from bench_point import append_point, commit_label
 from boxkit.edgelist import write_edge_list
 from boxkit.errors import PROFILE_MAX_VERTICES, SUPERGRAPH_MAX_VERTICES
 from boxkit.families import RandomModelSpec, sample
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+TRAJECTORY = ROOT / "BENCH_dp_scale.json"
 METHODS = ("min_supergraph", "strong_boundary", "all")
 
 
@@ -49,6 +61,20 @@ def run_bound(path: str, methods: str) -> tuple[int, float, float]:
     return proc.returncode, wall, usage.ru_maxrss / 1024  # ru_maxrss is in KB
 
 
+def scale_point(rows) -> dict:
+    """The trajectory point of one script run: rows holds one (n,
+    methods, wall_s, peak_rss_mb, exit) tuple per bound command."""
+    return {
+        "commit": commit_label(),
+        "date": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "host": f"python {platform.python_version()}, numpy {np.__version__}, "
+                f"nproc {len(os.sched_getaffinity(0))}, {platform.machine()}",
+        "rows": [{"n": n, "methods": methods, "wall_s": round(wall, 3),
+                  "peak_rss_mb": round(rss, 1), "exit": code}
+                 for n, methods, wall, rss, code in rows],
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -59,7 +85,7 @@ def main(argv=None) -> int:
     if not 1 <= args.min_n <= args.max_n <= PROFILE_MAX_VERTICES:
         parser.error(f"need 1 <= --min-n <= --max-n <= {PROFILE_MAX_VERTICES}")
 
-    failed = False
+    rows = []
     print(f"{'n':>3}  {'methods':<15} {'wall_s':>7} {'peak_rss_mb':>11}")
     with tempfile.TemporaryDirectory() as tmp:
         for n in range(args.min_n, args.max_n + 1):
@@ -71,8 +97,9 @@ def main(argv=None) -> int:
                 code, wall, rss = run_bound(path, methods)
                 print(f"{n:>3}  {methods:<15} {wall:>7.2f} {rss:>11.1f}"
                       + ("" if code == 0 else f"  exit {code}"), flush=True)
-                failed |= code != 0
-    return 1 if failed else 0
+                rows.append((n, methods, wall, rss, code))
+    append_point(TRAJECTORY, scale_point(rows))
+    return 1 if any(code != 0 for *_, code in rows) else 0
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from .families import (
 from .graphs import BipartiteGraph
 from .harness import (
     ALL_BOUNDS,
+    DEFAULT_T_MAX,
     emit,
     format_summary,
     parse_config,
@@ -47,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--methods", default="all",
                          help="comma list of bounds, or 'all' "
                               f"(choices: {', '.join(ALL_BOUNDS)})")
-    p_bound.add_argument("--t-max", type=int, default=2,
+    p_bound.add_argument("--t-max", type=int, default=DEFAULT_T_MAX,
                          help="largest expansion parameter to try")
     p_bound.add_argument("--format", choices=("csv", "json"), default="csv")
 

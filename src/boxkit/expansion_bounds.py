@@ -36,6 +36,13 @@ from .tables import GraphTables, tables_of
 EXPANSION = "expansion"
 UNIVERSAL = "universal"
 BIPARTITE_UNIVERSAL = "bipartite_universal"
+# The largest expansion parameter t tried when the caller names none.
+DEFAULT_T_MAX = 2
+
+
+def check_t_max(t_max: int) -> None:
+    if t_max < 1:
+        raise ValueError(f"t_max must be at least 1, got {t_max}")
 
 
 def cross_expansion(g: Graph | GraphTables, subset_side: int, target_side: int,
@@ -45,14 +52,14 @@ def cross_expansion(g: Graph | GraphTables, subset_side: int, target_side: int,
     if target_side == 0:
         raise ValueError("target side must be nonempty")
     tables = tables_of(g)
-    rows = [tables.closed_rows[v] & target_side for v in bits(subset_side)]
+    rows = [tables.graph.closed_rows[v] & target_side for v in bits(subset_side)]
     return Fraction(tables.unions(rows).least(t)[0], popcount(target_side))
 
 
 def _co_rows(g: Graph, subset_side: int, target_side: int) -> list[int]:
     """The complement neighbourhood of each subset-side vertex, inside
     the target side: m_j is the least union of j of them."""
-    return [g.vertices & ~(g.rows[v] | 1 << v) & target_side for v in bits(subset_side)]
+    return [target_side & ~g.closed_rows[v] for v in bits(subset_side)]
 
 
 def co_expansion_table(g: Graph, subset_side: int, target_side: int,
@@ -68,7 +75,7 @@ def co_expansion_table(g: Graph, subset_side: int, target_side: int,
 
 def _dominating(g: Graph, s1: int, s2: int) -> int:
     """The vertices of s2 whose closed neighbourhoods contain s1."""
-    return mask_of(u for u in bits(s2) if (g.rows[u] | 1 << u) & s1 == s1)
+    return mask_of(u for u in bits(s2) if g.closed_rows[u] & s1 == s1)
 
 
 @dataclass(frozen=True)
@@ -176,7 +183,7 @@ def bipartite_universal_bound(gb: BipartiteGraph) -> BoundReport:
                         {"u_b": u_b, "min_degree_a": delta_a})
 
 
-def best_expansion_bound(g: Graph | GraphTables, t_max: int = 2) -> BoundReport:
+def best_expansion_bound(g: Graph | GraphTables, t_max: int = DEFAULT_T_MAX) -> BoundReport:
     """Best scan bound over canonical (s1, s2) choices and t <= t_max.
 
     The choices, as vertex sets of g: both sides equal to the core, the
@@ -188,8 +195,7 @@ def best_expansion_bound(g: Graph | GraphTables, t_max: int = 2) -> BoundReport:
     of G[s1 | s2], both sides relabelled through members(s1 | s2), which
     the certificate keeps as vertex_labels.
     """
-    if t_max < 1:
-        raise ValueError("t_max must be positive")
+    check_t_max(t_max)
     tables = tables_of(g)
     g = tables.graph
     core = g.vertices & ~universal_vertices(g)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .bitset import bits, full_mask, popcount
+from .bitset import bits, full_mask, mask_of, popcount
 
 # Enumeration-heavy operations carry much tighter caps of their own; this
 # only guards against degenerate inputs (adjacency matrices stay dense).
@@ -59,6 +59,11 @@ class Graph:
         __dict__, which equality, hashing and repr do not read."""
         return sum(popcount(r) for r in self.rows) // 2
 
+    @cached_property
+    def closed_rows(self) -> tuple[int, ...]:
+        """N[v] for every vertex v, built here only; cached like edge_count."""
+        return tuple(row | 1 << v for v, row in enumerate(self.rows))
+
     @property
     def edges(self) -> list[tuple[int, int]]:
         """Edges as sorted (u, v) pairs with u < v, in lexicographic order."""
@@ -89,6 +94,7 @@ def from_edges(n: int, edges) -> Graph:
 
 def from_pair_mask(n: int, mask: int) -> Graph:
     """Graph from a bitmask over the C(n,2) vertex pairs in lex order."""
+    check_vertex_count(n)
     edges = []
     for b, (u, v) in enumerate(combinations(range(n), 2)):
         if mask >> b & 1:
@@ -121,7 +127,7 @@ def path(n: int) -> Graph:
 
 def complement(g: Graph) -> Graph:
     full = full_mask(g.n)
-    return Graph(g.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.rows)))
+    return Graph(g.n, tuple(full & ~row for row in g.closed_rows))
 
 
 def is_complete(g: Graph) -> bool:
@@ -199,21 +205,12 @@ class DegreeSummary:
 def degree_summary(g: Graph) -> DegreeSummary:
     degs = [popcount(r) for r in g.rows]
     lo, hi = min(degs), max(degs)
-    return DegreeSummary(
-        min_degree=lo,
-        max_degree=hi,
-        universal_count=sum(1 for d in degs if d == g.n - 1),
-        is_regular=lo == hi,
-    )
+    return DegreeSummary(lo, hi, popcount(universal_vertices(g)), lo == hi)
 
 
 def universal_vertices(g: Graph) -> int:
     """Bitmask of vertices adjacent to every other vertex."""
-    acc = 0
-    for v, row in enumerate(g.rows):
-        if popcount(row) == g.n - 1:
-            acc |= 1 << v
-    return acc
+    return mask_of(v for v, row in enumerate(g.closed_rows) if row == g.vertices)
 
 
 # --- bipartite graphs -------------------------------------------------------
@@ -230,10 +227,7 @@ class BipartiteGraph:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.na < 1 or self.nb < 1:
-            raise ValueError("both sides need at least one vertex")
-        if self.na + self.nb > MAX_VERTICES:
-            raise ValueError(f"total vertex count exceeds {MAX_VERTICES}")
+        _check_sides(self.na, self.nb)
         if len(self.rows) != self.na:
             raise ValueError("row count does not match side A")
         full_b = full_mask(self.nb)
@@ -259,7 +253,15 @@ class BipartiteGraph:
         return from_edges(self.na + self.nb, edges)
 
 
+def _check_sides(na: int, nb: int) -> None:
+    """Reject side sizes before anything of their size is built."""
+    if na < 1 or nb < 1:
+        raise ValueError("both sides need at least one vertex")
+    check_vertex_count(na + nb)
+
+
 def bipartite_from_edges(na: int, nb: int, edges) -> BipartiteGraph:
+    _check_sides(na, nb)
     rows = [0] * na
     for a, b in edges:
         if not (0 <= a < na and 0 <= b < nb):

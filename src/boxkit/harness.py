@@ -20,9 +20,11 @@ from typing import NamedTuple
 
 from .errors import BudgetExceededError
 from .expansion_bounds import (
+    DEFAULT_T_MAX,
     EXPANSION,
     UNIVERSAL,
     best_expansion_bound,
+    check_t_max,
     universal_bound,
 )
 from .families import PARAMETERS, RANDOM_MODELS, RandomModelSpec, sample
@@ -72,12 +74,7 @@ def _select_bounds(selection) -> tuple[str, ...]:
     return tokens
 
 
-def _check_t_max(t_max: int) -> None:
-    if t_max < 1:
-        raise ValueError(f"t_max must be at least 1, got {t_max}")
-
-
-def run_bounds(g: Graph | GraphTables, selection, t_max: int = 2) -> list[BoundReport]:
+def run_bounds(g: Graph | GraphTables, selection, t_max: int = DEFAULT_T_MAX) -> list[BoundReport]:
     """Evaluate the selected bounds, one report each, never skipping.
 
     A bound that runs out of budget is reported inapplicable with
@@ -86,7 +83,7 @@ def run_bounds(g: Graph | GraphTables, selection, t_max: int = 2) -> list[BoundR
     GraphTables (g's own, when g already holds tables), so each
     per-graph table is built once.
     """
-    _check_t_max(t_max)
+    check_t_max(t_max)
     tables = tables_of(g)
     reports = []
     for tok in _select_bounds(selection):
@@ -165,7 +162,7 @@ class ExperimentConfig:
     k_values: tuple[int, ...] = ()
     fmt: str = "csv"
     out: str | None = None
-    t_max: int = 2
+    t_max: int = DEFAULT_T_MAX
     record_runtime: bool = False
 
     def __post_init__(self) -> None:
@@ -180,7 +177,7 @@ class ExperimentConfig:
         object.__setattr__(self, "bounds", _select_bounds(self.bounds))
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
-        _check_t_max(self.t_max)
+        check_t_max(self.t_max)
         wanted = RANDOM_MODELS[self.model].parameter
         for name in PARAMETERS:
             if (name == wanted) != bool(getattr(self, f"{name}_values")):
@@ -252,7 +249,7 @@ def parse_config(text: str) -> ExperimentConfig:
         k_values=int_list(raw["k"]) if "k" in raw else (),
         fmt=raw.get("format", "csv"),
         out=raw.get("out"),
-        t_max=int(raw.get("t_max", "2")),
+        t_max=int(raw.get("t_max", DEFAULT_T_MAX)),
         record_runtime=_FLAG_VALUES[flag],
     )
 

@@ -39,7 +39,7 @@ from .errors import SUPERGRAPH_MAX_VERTICES, BudgetExceededError, check_vertex_c
 from .graphs import Graph, is_complete
 from .isoperimetry import _fold_blocks, _half_tables, _low_size, _split_layouts
 
-BOX_MAX_VERTICES = 8
+BOX_MAX_VERTICES = 9
 BOX_SEARCH_NODE_BUDGET = 10**6
 
 
@@ -156,7 +156,7 @@ def canonical_rep(g: Graph, ordering: Ordering) -> IntervalRep:
     reach = [0] * n
     unreached = full_mask(n)
     for pos, w in enumerate(ordering.sequence()):
-        near = unreached & (g.rows[w] | 1 << w)
+        near = unreached & g.closed_rows[w]
         for v in bits(near):
             reach[v] = pos
         unreached ^= near
@@ -231,8 +231,7 @@ def min_interval_supergraph(g: Graph) -> MinSupergraph:
     check_vertex_cap(n, SUPERGRAPH_MAX_VERTICES)
     h = _low_size(n)
     low, high = _split_layouts(n)
-    closed = [row | 1 << v for v, row in enumerate(g.rows)]
-    reach_low, reach_high = _half_tables(closed)
+    reach_low, reach_high = _half_tables(g.closed_rows)
     dtype = _table_dtype(n)
     f = np.empty((len(reach_high), len(reach_low)), dtype=dtype)
     low_sizes = np.bitwise_count(low.masks)[:, None]
@@ -363,7 +362,7 @@ def _coverage_catalog(g: Graph) -> list[tuple[int, int]]:
     every_set = np.arange(1 << n)
     term = np.zeros((1 << n, n), dtype=np.uint64)
     for y in range(n):
-        term[(every_set & (g.rows[y] | 1 << y)) == 0] |= pair[:, y]
+        term[(every_set & g.closed_rows[y]) == 0] |= pair[:, y]
     step = term << rank_bits | 1 << (np.arange(n, dtype=np.uint64) + width + rank_bits)
     # each row's vertices outside P first, in ascending order
     outside_first = np.argsort(every_set[:, None] >> np.arange(n) & 1, axis=1, kind="stable")

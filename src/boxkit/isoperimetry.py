@@ -270,9 +270,12 @@ class LeastUnions:
         """least(k) for k = 1 .. len(rows) - 1: the sizes found already
         when all of them are, one _least_unions scan over all sizes
         otherwise.  The rows are a graph's, of at most len(rows) bits,
-        and at most PROFILE_MAX_VERTICES of them."""
+        and at most PROFILE_MAX_VERTICES of them; rows wider than the
+        half tables' 32 bits raise ValueError."""
         n = len(self.rows)
         check_vertex_cap(n, PROFILE_MAX_VERTICES)
+        if max(self.rows, default=0) >> 32:
+            raise ValueError("LeastUnions.every takes rows of at most 32 bits")
         sizes = range(1, n)
         if any(k not in self.found for k in sizes):
             self.found.update(zip(sizes, _least_unions(self.rows, sizes, self._halves)))

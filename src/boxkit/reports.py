@@ -50,5 +50,5 @@ def bound_report(name: str, value: Fraction, certificate: Any = None,
     )
 
 
-def not_applicable(name: str, reason: str, notes: tuple[str, ...] = ()) -> BoundReport:
-    return BoundReport(name=name, applicable=False, reason=reason, notes=notes)
+def not_applicable(name: str, reason: str) -> BoundReport:
+    return BoundReport(name=name, applicable=False, reason=reason)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, degree_summary, is_complete, is_connected
+from .graphs import Graph, is_complete, is_connected
 from .reports import BoundReport, bound_report, not_applicable
 from .tables import GraphTables, tables_of
 
@@ -71,16 +71,17 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return bits.astype(float)
 
 
-def adjacency_spectrum(g: Graph) -> SpectralSummary:
+def adjacency_spectrum(g: Graph | GraphTables) -> SpectralSummary:
     """Adjacency eigenvalues; for regular graphs also the second-largest
-    magnitude, the quantity spectral_bound consumes."""
+    magnitude and the degree, which spectral_bound reads."""
+    tables = tables_of(g)
+    g = tables.graph
     summary = symmetric_eigenvalues(adjacency_matrix(g))
-    degrees = degree_summary(g)
-    if not degrees.is_regular:
+    if not tables.degrees.is_regular:
         return summary
     ev = summary.eigenvalues
     second = max(abs(ev[1]), abs(ev[-1])) if g.n > 1 else 0.0
-    return SpectralSummary(ev, summary.residual, second, degrees.min_degree)
+    return SpectralSummary(ev, summary.residual, second, tables.degrees.min_degree)
 
 
 def _growth_factor(ratio: Fraction) -> Fraction:
@@ -99,12 +100,10 @@ def spectral_bound(g: Graph | GraphTables) -> BoundReport:
         return not_applicable(SPECTRAL, "not_regular")
     if not is_connected(g):
         return not_applicable(SPECTRAL, "disconnected")
-    # as adjacency_spectrum takes it; a connected non-complete graph has n >= 3
-    spectrum = symmetric_eigenvalues(adjacency_matrix(g))
-    lam = max(abs(spectrum.eigenvalues[1]), abs(spectrum.eigenvalues[-1]))
+    spectrum = adjacency_spectrum(tables)
+    lam, k = spectrum.second_largest_abs, spectrum.degree
     if lam < EIGENVALUE_ZERO_TOL:
         return not_applicable(SPECTRAL, "second_eigenvalue_zero")
-    k = summary.min_degree
     ratio = Fraction(k * k) / Fraction(lam) ** 2
     value = _growth_factor(ratio) * Fraction(g.n - k - 1, 2 * g.n)
     cert = {"degree": k, "lambda": lam, "residual": spectrum.residual}

@@ -62,7 +62,7 @@ def strong_boundary_bound(g: Graph | GraphTables) -> BoundReport:
     g = tables.graph
     if is_complete(g):
         return not_applicable(STRONG_BOUNDARY, "complete_graph")
-    unions = tables.unions(tables.closed_rows).every()
+    unions = tables.unions(g.closed_rows).every()
     strong = tuple(g.n - value for value, _ in unions)
     total = sum(strong)
     value = Fraction(g.n * (g.n - 1) // 2 - g.edge_count, total)
@@ -99,7 +99,7 @@ def detect_family_bound(g: Graph | GraphTables) -> BoundReport:
         return not_applicable(FAMILY, "no_family_detected")
     if g.n >= 5 and summary.min_degree == 2 and is_connected(tables.complement):
         family, k, value = "complement_cycle", None, Fraction(g.n, 3)
-    elif g.n - tables.unions(tables.closed_rows).least(2)[0] <= 1:
+    elif g.n - tables.unions(g.closed_rows).least(2)[0] <= 1:
         family, k, value = "c4free", summary.min_degree, Fraction(g.n, 4)
     else:
         return not_applicable(FAMILY, "no_family_detected")

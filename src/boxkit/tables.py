@@ -5,10 +5,11 @@ bound, so each table is built once, on first use, and every bound that
 needs it reads it from there.  A bound handed a bare Graph builds fresh
 tables for it (tables_of).
 
-The least unions of one row list are kept in one LeastUnions per
-distinct list (unions), so a scan's half tables and sizes serve every
-later query on the same rows.  The supergraph DP folds g's least closed
-unions as it fills its table, and puts them in the closed rows' entry;
+The closed rows N[v] live on the Graph (closed_rows).  The least unions
+of one row list are kept in one LeastUnions per distinct list (unions),
+so a scan's half tables and sizes serve every later query on the same
+rows.  The supergraph DP folds g's least closed unions as it fills its
+table, and puts them in the closed rows' entry;
 the strong boundary bound and the family bound's square-free test then
 read them there without a scan, and the expansion bound reads beta_t
 there when its subsets and targets are all of g.
@@ -37,11 +38,6 @@ class GraphTables:
         return complement(self.graph)
 
     @cached_property
-    def closed_rows(self) -> tuple[int, ...]:
-        """N[v] for every vertex v."""
-        return tuple(row | 1 << v for v, row in enumerate(self.graph.rows))
-
-    @cached_property
     def degrees(self) -> DegreeSummary:
         return degree_summary(self.graph)
 
@@ -61,7 +57,7 @@ class GraphTables:
     def supergraph(self) -> MinSupergraph:
         """The supergraph DP, whose least closed unions are kept."""
         result = min_interval_supergraph(self.graph)
-        self.unions(self.closed_rows).found.update(enumerate(result.closed_unions, 1))
+        self.unions(self.graph.closed_rows).found.update(enumerate(result.closed_unions, 1))
         return result
 
 

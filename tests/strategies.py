@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from boxkit.graphs import Graph, complement, from_pair_mask
 from boxkit.intervals import Ordering
 from boxkit.isoperimetry import LeastUnions
-from boxkit.tables import GraphTables
 
 
 @st.composite
@@ -36,7 +35,7 @@ def closed_unions(g: Graph) -> LeastUnions:
     """The least unions of g's closed neighbourhoods.  least(k) is k plus
     the least |Gamma(X)| over |X| = k; read on complement(g), it is n
     minus the largest |GammaS(X)| in g, with the same witness."""
-    return LeastUnions(GraphTables(g).closed_rows)
+    return LeastUnions(g.closed_rows)
 
 
 def boundary_profiles(g: Graph):

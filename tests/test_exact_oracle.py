@@ -23,7 +23,9 @@ from boxkit.graphs import (
     empty_graph,
     from_edges,
     from_pair_mask,
+    path,
 )
+from boxkit.harness import run_bounds
 from boxkit.intervals import (
     BOX_MAX_VERTICES,
     _coverage_catalog,
@@ -180,7 +182,7 @@ def test_catalog_matches_dict_dp_at_n8(model):
 
 @pytest.mark.parametrize("g", [cycle(9), _gnp(9, 1), _gnp(9, 2)], ids=["C9", "gnp9-1", "gnp9-2"])
 def test_catalog_matches_dict_dp_at_n9(g):
-    # past BOX_MAX_VERTICES; C9 needs 9 + 27 + 19 = 55 of the word's 64 bits
+    # at BOX_MAX_VERTICES; C9 needs 9 + 27 + 19 = 55 of the word's 64 bits
     catalog = _coverage_catalog(g)
     assert _decoded(catalog, g.n) == _dict_coverage_catalog(g)
     _assert_plain_ints(catalog)
@@ -287,7 +289,7 @@ def test_boxicity_le_returns_the_fewest_orderings(n):
 
 def test_boxicity_le_argument_checks():
     with pytest.raises(BudgetExceededError):
-        boxicity_le(cycle(9), -1)
+        boxicity_le(cycle(10), -1)
     with pytest.raises(ValueError):
         boxicity_le(cycle(4), -1)
 
@@ -331,3 +333,20 @@ EXACT_GOLDEN = [
 def test_exact_certificate_bytes_are_pinned(build, digest):
     text = _certificate_text(build())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+_N9_SAMPLE = [cycle(9), complement(cycle(9)), complete_multipartite(3, 3), empty_graph(9),
+              path(9), complement(path(9))] + [
+    _gnp(9, seed, p) for p in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+                               Fraction(2, 3), Fraction(3, 4)) for seed in range(1, 41)]
+
+
+def test_every_ceiling_is_sound_at_the_exact_cap():
+    # the sampled soundness gate at n = BOX_MAX_VERTICES = 9: each exact
+    # certificate replays, and no registry ceiling exceeds the exact value
+    assert BOX_MAX_VERTICES == 9
+    for g in _N9_SAMPLE:
+        exact = boxicity_exact(g)
+        assert verify_box_certificate(g, exact.certificate), g.rows
+        for report in run_bounds(g, ["all"]):
+            assert not report.applicable or report.ceiling <= exact.value, (g.rows, report)

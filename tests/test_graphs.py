@@ -3,8 +3,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given
 
+from boxkit import graphs as graphs_module
 from boxkit.bitset import bits, full_mask, mask_of, members, popcount
 from boxkit.graphs import (
+    BipartiteGraph,
     Graph,
     bipartite_from_edges,
     bipartition,
@@ -185,3 +187,47 @@ def test_bipartite_graph_basics():
     assert g.has_edge(0, 2) and g.has_edge(0, 4) and g.has_edge(1, 3)
     with pytest.raises(ValueError):
         bipartite_from_edges(2, 2, [(0, 5)])
+
+
+def test_closed_rows_are_built_once_per_graph():
+    g = cycle(5)
+    assert g.closed_rows == tuple(row | 1 << v for v, row in enumerate(g.rows))
+    assert g.closed_rows is g.closed_rows
+    # the cache is not a field: equality, hashing and repr ignore it
+    assert g == cycle(5) and hash(g) == hash(cycle(5))
+    assert repr(g) == repr(cycle(5))
+
+
+def _refuse(*args):
+    raise AssertionError("built before the vertex count was checked")
+
+
+def test_from_pair_mask_checks_the_vertex_count_before_walking_pairs(monkeypatch):
+    monkeypatch.setattr(graphs_module, "MAX_VERTICES", 10)
+    monkeypatch.setattr(graphs_module, "combinations", _refuse)
+    monkeypatch.setattr(graphs_module, "from_edges", _refuse)
+    with pytest.raises(ValueError, match="vertex count 12 outside 1..10"):
+        from_pair_mask(12, 0)
+
+
+def _unread_edges():
+    raise AssertionError("edges read before the side sizes were checked")
+    yield  # a generator, so the raise runs when it is first consumed
+
+
+@pytest.mark.parametrize("na, nb, message", [
+    (0, 3, "both sides need at least one vertex"),
+    (3, 0, "both sides need at least one vertex"),
+    (11, 1, "vertex count 12 outside 1..10"),
+])
+def test_bipartite_from_edges_checks_the_sides_before_building(monkeypatch, na, nb, message):
+    monkeypatch.setattr(graphs_module, "MAX_VERTICES", 10)
+    with pytest.raises(ValueError, match=message):
+        bipartite_from_edges(na, nb, _unread_edges())
+
+
+def test_bipartite_graph_reads_the_one_vertex_cap(monkeypatch):
+    monkeypatch.setattr(graphs_module, "MAX_VERTICES", 10)
+    BipartiteGraph(5, 5, (0,) * 5)
+    with pytest.raises(ValueError, match="vertex count 11 outside 1..10"):
+        BipartiteGraph(5, 6, (0,) * 5)

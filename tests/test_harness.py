@@ -1,6 +1,7 @@
 """Edge-list serialization, bound selection, the sweep harness, and the
 command-line surface."""
 
+import inspect
 import json
 import re
 from fractions import Fraction
@@ -17,6 +18,7 @@ from boxkit.edgelist import (
     write_edge_list,
 )
 from boxkit.errors import PROFILE_MAX_VERTICES
+from boxkit.expansion_bounds import DEFAULT_T_MAX, best_expansion_bound
 from boxkit.families import (
     MODELS,
     RANDOM_MODELS,
@@ -328,6 +330,21 @@ def test_parse_config_round_trip():
     assert config.t_max == 2 and config.record_runtime is False
 
 
+def test_t_max_has_one_default_and_one_check():
+    assert DEFAULT_T_MAX == 2
+    for fn in (run_bounds, best_expansion_bound, ExperimentConfig):
+        assert inspect.signature(fn).parameters["t_max"].default == DEFAULT_T_MAX
+    assert parse_config(GOOD_CONFIG).t_max == DEFAULT_T_MAX
+    args = cli._build_parser().parse_args(["bound", "--input", "g.edges"])
+    assert args.t_max == DEFAULT_T_MAX
+    bad = (lambda: best_expansion_bound(cycle(4), t_max=0),
+           lambda: run_bounds(cycle(4), ["universal"], t_max=0),
+           lambda: parse_config(GOOD_CONFIG + "t_max=0\n"))
+    for call in bad:
+        with pytest.raises(ValueError, match=r"^t_max must be at least 1, got 0$"):
+            call()
+
+
 def test_parse_config_bounds_all_and_flags():
     text = ("model=gnm\nn=8\nm=10,12\nseeds=1\nmaster_seed=0\n"
             "bounds=all\nformat=json\nout=r.json\nt_max=1\nrecord_runtime=yes\n")
@@ -531,8 +548,8 @@ def test_cli_exact_unverified_certificate_is_an_error(tmp_path, capsys, monkeypa
 
 
 def test_cli_exact_budget_exit_code(tmp_path, capsys):
-    text = format_edge_list(cycle(9))
-    graph_file = _write(tmp_path / "c9.edges", text)
+    text = format_edge_list(cycle(10))
+    graph_file = _write(tmp_path / "c10.edges", text)
     assert main(["exact", "--input", graph_file]) == 3
 
 

@@ -223,5 +223,6 @@ def test_boxicity_at_most_half_n(g):
 
 
 def test_boxicity_budget_guard():
+    # one vertex past BOX_MAX_VERTICES = 9
     with pytest.raises(BudgetExceededError):
-        boxicity_exact(cycle(9))
+        boxicity_exact(cycle(10))

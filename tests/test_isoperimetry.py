@@ -244,3 +244,12 @@ def test_routed_scan_overruns_only_past_the_budget(n):
     # the largest size still inside the budget runs
     k = min(over) - 1
     assert unions.least(k) == (k, (1 << k) - 1)
+
+
+def test_every_refuses_rows_wider_than_32_bits_before_any_array(monkeypatch):
+    rows = [1 << 40, 1, 2]
+    # one size at a time, such rows take the prefix scan
+    assert LeastUnions(rows).least(2) == (2, 0b011)
+    monkeypatch.setattr(isoperimetry, "np", _NoNumpy())
+    with pytest.raises(ValueError, match="rows of at most 32 bits"):
+        LeastUnions(rows).every()

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,23 +49,78 @@ def test_soundness_table_help_names_the_cap():
     assert f"1..{ENUMERATION_MAX_VERTICES}" in " ".join(proc.stdout.split())
 
 
-def test_dp_scale_small():
-    proc = _run_script("dp_scale.py", "--min-n", "9", "--max-n", "10")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _dp_scale(monkeypatch, tmp_path):
+    """scripts/dp_scale.py as a module, appending its points in tmp_path
+    rather than to the checkout's trajectory."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))  # as a script run has it
+    dp_scale = _script("dp_scale")
+    monkeypatch.setattr(dp_scale, "TRAJECTORY", tmp_path / "BENCH_dp_scale.json")
+    return dp_scale
+
+
+def test_dp_scale_small(monkeypatch, tmp_path, capsys):
+    dp_scale = _dp_scale(monkeypatch, tmp_path)
+    assert dp_scale.main(["--min-n", "9", "--max-n", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["n", "methods", "wall_s", "peak_rss_mb"]
     rows = [line.split() for line in lines[1:]]
-    assert [row[:2] for row in rows] == [[n, methods] for n in ("9", "10") for methods in
-                                         ("min_supergraph", "strong_boundary", "all")]
+    runs = [(n, methods) for n in (9, 10) for methods in
+            ("min_supergraph", "strong_boundary", "all")]
+    assert [(int(row[0]), row[1]) for row in rows] == runs
     assert all(float(row[2]) > 0 and float(row[3]) > 0 for row in rows)
+    [point] = json.loads(dp_scale.TRAJECTORY.read_text())
+    assert [(row["n"], row["methods"], row["exit"]) for row in point["rows"]] == [
+        (*run, 0) for run in runs]
 
 
-def test_dp_scale_runs_the_dp_only_up_to_its_cap():
-    n = str(SUPERGRAPH_MAX_VERTICES + 1)
-    proc = _run_script("dp_scale.py", "--min-n", n, "--max-n", n)
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
-    assert [row[:2] for row in rows] == [[n, "strong_boundary"], [n, "all"]]
+def test_dp_scale_runs_the_dp_only_up_to_its_cap(monkeypatch, tmp_path, capsys):
+    n = SUPERGRAPH_MAX_VERTICES + 1
+    assert _dp_scale(monkeypatch, tmp_path).main(["--min-n", str(n), "--max-n", str(n)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[:2] for row in rows] == [[str(n), "strong_boundary"], [str(n), "all"]]
+
+
+def test_dp_scale_point_holds_each_run(monkeypatch, tmp_path):
+    dp_scale = _dp_scale(monkeypatch, tmp_path)
+    monkeypatch.setattr(dp_scale, "commit_label", lambda: "abc123-dirty")
+    point = dp_scale.scale_point([(18, "min_supergraph", 0.51234, 40.04, 0),
+                                  (29, "all", 12.0, 96.46, 3)])
+    assert point["commit"] == "abc123-dirty"
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", point["date"])
+    assert re.fullmatch(r"python [\d.]+, numpy \S+, nproc \d+, \S+", point["host"])
+    assert point["rows"] == [
+        {"n": 18, "methods": "min_supergraph", "wall_s": 0.512, "peak_rss_mb": 40.0, "exit": 0},
+        {"n": 29, "methods": "all", "wall_s": 12.0, "peak_rss_mb": 96.5, "exit": 3}]
+
+
+def test_dp_scale_appends_one_point_per_run_also_when_a_run_fails(monkeypatch, tmp_path,
+                                                                  capsys):
+    # canned bound runs: no process is spawned
+    dp_scale = _dp_scale(monkeypatch, tmp_path)
+    monkeypatch.setattr(dp_scale, "commit_label", lambda: "abc123")
+    runs = []
+
+    def canned(path, methods):
+        runs.append(methods)
+        return (3 if methods == "all" else 0), 0.25, 40.0
+
+    monkeypatch.setattr(dp_scale, "run_bound", canned)
+    n = SUPERGRAPH_MAX_VERTICES
+    assert dp_scale.main(["--min-n", str(n), "--max-n", str(n + 1)]) == 1
+    assert dp_scale.main(["--min-n", "5", "--max-n", "5"]) == 1
+    first, second = json.loads(dp_scale.TRAJECTORY.read_text())
+    assert [(row["n"], row["methods"], row["exit"]) for row in first["rows"]] == [
+        (n, "min_supergraph", 0), (n, "strong_boundary", 0), (n, "all", 3),
+        (n + 1, "strong_boundary", 0), (n + 1, "all", 3)]
+    assert len(second["rows"]) == 3 and first["commit"] == second["commit"] == "abc123"
+    assert capsys.readouterr().out.count("  exit 3\n") == 3
 
 
 def test_dp_scale_rejects_sizes_past_the_cap():
@@ -114,16 +170,8 @@ RUN_OUTPUT = """\
 """
 
 
-def _bench_point():
-    spec = importlib.util.spec_from_file_location("bench_point",
-                                                  ROOT / "scripts" / "bench_point.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_bench_point_reads_a_run_output():
-    assert _bench_point().parse_run_output(RUN_OUTPUT) == {
+    assert _script("bench_point").parse_run_output(RUN_OUTPUT) == {
         "host": "python 3.11.7, numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0 (1 thread), "
                 "nproc 2, x86_64",
         "output_sha256": "ba3714e325d1adfa142e20ab671eaad9f0c860ef6b970de55d5b8d50d70625ae",
@@ -138,11 +186,11 @@ def test_bench_point_reads_a_run_output():
                                   RUN_OUTPUT + RUN_OUTPUT])
 def test_bench_point_rejects_other_output(text):
     with pytest.raises(ValueError, match="not the output of one"):
-        _bench_point().parse_run_output(text)
+        _script("bench_point").parse_run_output(text)
 
 
 def test_bench_point_appends_to_the_trajectory(tmp_path):
-    bench_point = _bench_point()
+    bench_point = _script("bench_point")
     path = tmp_path / "BENCH_sweep.json"
     bench_point.append_point(path, {"commit": "a"})
     bench_point.append_point(path, {"commit": "b"})

@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from boxkit import spectral
 from boxkit.bitset import popcount
 from boxkit.graphs import (
     bipartite_from_edges,
@@ -24,6 +25,7 @@ from boxkit.spectral import (
     strongly_regular_secondary,
     symmetric_eigenvalues,
 )
+from boxkit.tables import GraphTables
 
 
 def _hexagon_bipartite():
@@ -216,3 +218,28 @@ def test_tanner_bound_is_sound_on_sampled_regular_graphs():
                 worst = min(popcount(_union_neighborhood(g.rows, subset))
                             for subset in combinations(range(n), t))
                 assert worst + 1e-6 >= guaranteed
+
+
+def test_spectral_bound_reads_lambda_and_the_degree_from_adjacency_spectrum(monkeypatch):
+    calls = []
+    real = spectral.adjacency_spectrum
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(spectral, "adjacency_spectrum", counted)
+    tables = GraphTables(petersen())
+    report = spectral_bound(tables)
+    assert calls == [tables]
+    summary = real(petersen())
+    assert report.certificate == {"degree": summary.degree, "lambda": summary.second_largest_abs,
+                                  "residual": summary.residual}
+
+
+def test_adjacency_spectrum_reads_the_tables_degrees():
+    tables = GraphTables(cycle(6))
+    summary = adjacency_spectrum(tables)
+    assert "degrees" in vars(tables)
+    assert summary == adjacency_spectrum(cycle(6))
+    assert summary.degree == 2 and summary.second_largest_abs == pytest.approx(2.0)
