@@ -58,10 +58,12 @@ def _script(name):
 
 def _dp_scale(monkeypatch, tmp_path):
     """scripts/dp_scale.py as a module, appending its points in tmp_path
-    rather than to the checkout's trajectory."""
+    rather than to the checkout's trajectory, under a fixed commit label
+    (so that no git process runs)."""
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))  # as a script run has it
     dp_scale = _script("dp_scale")
     monkeypatch.setattr(dp_scale, "TRAJECTORY", tmp_path / "BENCH_dp_scale.json")
+    monkeypatch.setattr(dp_scale, "commit_label", lambda: "abc123")
     return dp_scale
 
 
@@ -89,10 +91,9 @@ def test_dp_scale_runs_the_dp_only_up_to_its_cap(monkeypatch, tmp_path, capsys):
 
 def test_dp_scale_point_holds_each_run(monkeypatch, tmp_path):
     dp_scale = _dp_scale(monkeypatch, tmp_path)
-    monkeypatch.setattr(dp_scale, "commit_label", lambda: "abc123-dirty")
     point = dp_scale.scale_point([(18, "min_supergraph", 0.51234, 40.04, 0),
                                   (29, "all", 12.0, 96.46, 3)])
-    assert point["commit"] == "abc123-dirty"
+    assert point["commit"] == "abc123"
     assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", point["date"])
     assert re.fullmatch(r"python [\d.]+, numpy \S+, nproc \d+, \S+", point["host"])
     assert point["rows"] == [
@@ -104,14 +105,8 @@ def test_dp_scale_appends_one_point_per_run_also_when_a_run_fails(monkeypatch, t
                                                                   capsys):
     # canned bound runs: no process is spawned
     dp_scale = _dp_scale(monkeypatch, tmp_path)
-    monkeypatch.setattr(dp_scale, "commit_label", lambda: "abc123")
-    runs = []
-
-    def canned(path, methods):
-        runs.append(methods)
-        return (3 if methods == "all" else 0), 0.25, 40.0
-
-    monkeypatch.setattr(dp_scale, "run_bound", canned)
+    monkeypatch.setattr(dp_scale, "run_bound",
+                        lambda path, methods: ((3 if methods == "all" else 0), 0.25, 40.0))
     n = SUPERGRAPH_MAX_VERTICES
     assert dp_scale.main(["--min-n", str(n), "--max-n", str(n + 1)]) == 1
     assert dp_scale.main(["--min-n", "5", "--max-n", "5"]) == 1
